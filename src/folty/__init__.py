@@ -7,8 +7,9 @@ window delta (edges (u, w, t2) and (v, w, t3) with t <= t2 <= t3 <= t + delta).
 
 Engines:
   * ``compute_counts`` splits the work by a degeneracy orientation into an
-    out-neighbor pass (chained sorted scans) and an in-neighbor pass
-    (interval stabbing via per-pair segment trees).
+    out-neighbor pass (chained searches) and an in-neighbor pass (witness
+    intervals merged into disjoint runs, counted per edge), both vectorized
+    over the graph's CSR pair layout.
   * ``practical_counts`` is a simpler baseline that walks every static
     triangle from the lower-degree endpoint.
   * ``oracle_counts`` is a brute-force reference used for cross-validation.

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -43,18 +46,44 @@ class TemporalEdge(NamedTuple):
 
 
 class TemporalGraph:
-    """Immutable temporal multigraph with per-directed-pair edge lists.
+    """Immutable temporal multigraph with one CSR layout of its directed pairs.
 
     Attributes
     ----------
     n, m : vertex and edge counts
-    src, dst, ts : per-edge arrays indexed by eid (dense vertex ids)
-    pairs : dict mapping a directed dense pair (x, y) to (eids, timestamps),
-        both sorted ascending by (t, eid); only pairs with >= 1 edge appear
+    src, dst, ts : per-edge lists indexed by eid (dense vertex ids); ts is
+        non-decreasing in eid order
     orig : dense id -> original id
+    pair_key : ascending keys x * n + y of the directed pairs with >= 1 edge;
+        the pair id p of (x, y) is its index here
+    pair_start : offsets; pair p owns entries pair_start[p]:pair_start[p + 1]
+    pair_eid, pair_ts : edge ids and timestamps in pair order, ascending by
+        (t, eid) within each pair
+    t_distinct : ascending distinct timestamps; a timestamp's rank is its
+        index here
+    pair_comp : composite key p * R + rank(t) of each entry, R =
+        len(t_distinct); ascending over all entries, so one searchsorted
+        locates a timestamp inside any pair
+    pairs : read-only mapping (x, y) -> (eids, timestamps) lists, built on
+        first use; only the oracle, the practical engine and tests need it
     """
 
-    __slots__ = ("n", "m", "src", "dst", "ts", "pairs", "orig", "self_loops_dropped")
+    __slots__ = (
+        "n",
+        "m",
+        "src",
+        "dst",
+        "ts",
+        "orig",
+        "self_loops_dropped",
+        "pair_key",
+        "pair_start",
+        "pair_eid",
+        "pair_ts",
+        "t_distinct",
+        "pair_comp",
+        "_pairs",
+    )
 
     def __init__(
         self,
@@ -71,16 +100,25 @@ class TemporalGraph:
         self.n = len(orig)
         self.m = len(src)
         self.self_loops_dropped = self_loops_dropped
-        pairs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-        for eid in range(self.m):
-            key = (src[eid], dst[eid])
-            entry = pairs.get(key)
-            if entry is None:
-                entry = ([], [])
-                pairs[key] = entry
-            entry[0].append(eid)
-            entry[1].append(ts[eid])
-        self.pairs = pairs
+        self._pairs: Mapping[tuple[int, int], tuple[list[int], list[int]]] | None = None
+
+        t = np.asarray(ts, dtype=np.int64)
+        if np.any(t[1:] < t[:-1]):
+            raise ValueError("timestamps must be non-decreasing in eid order")
+        key = np.asarray(src, dtype=np.int64) * self.n + np.asarray(dst, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.pair_key = key[starts]
+        self.pair_start = np.append(starts, self.m)
+        self.pair_eid = order
+        self.pair_ts = t[order]
+        new = np.ones(self.m, dtype=bool)
+        new[1:] = t[1:] != t[:-1]
+        self.t_distinct = t[new]
+        rank = np.cumsum(new) - 1
+        pid = np.repeat(np.arange(len(starts), dtype=np.int64), np.diff(self.pair_start))
+        self.pair_comp = pid * len(self.t_distinct) + rank[order]
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
@@ -107,25 +145,39 @@ class TemporalGraph:
         for eid in range(self.m):
             yield TemporalEdge(self.src[eid], self.dst[eid], self.ts[eid], eid)
 
+    @property
+    def pairs(self) -> Mapping[tuple[int, int], tuple[list[int], list[int]]]:
+        """(x, y) -> (eids, timestamps) for every directed pair with an edge."""
+        if self._pairs is None:
+            eids = self.pair_eid.tolist()
+            ts = self.pair_ts.tolist()
+            bounds = self.pair_start.tolist()
+            view = {}
+            for p, key in enumerate(self.pair_key.tolist()):
+                lo, hi = bounds[p], bounds[p + 1]
+                view[divmod(key, self.n)] = (eids[lo:hi], ts[lo:hi])
+            self._pairs = MappingProxyType(view)
+        return self._pairs
+
     def pair(self, x: int, y: int) -> tuple[list[int], list[int]]:
         """(eids, timestamps) of edges x -> y; empty lists if none."""
         return self.pairs.get((x, y), EMPTY_PAIR)
 
     def sigma(self, x: int, y: int) -> int:
         """Number of parallel edges x -> y."""
-        entry = self.pairs.get((x, y))
-        return len(entry[0]) if entry else 0
+        return len(self.pair(x, y)[0])
 
     def sigma_max(self) -> int:
         """Max total multiplicity sigma(u,v) + sigma(v,u) over unordered pairs."""
-        best = 0
-        for (x, y), (eids, _) in self.pairs.items():
-            if y < x and (y, x) in self.pairs:
-                continue  # counted from the other direction
-            total = len(eids) + self.sigma(y, x)
-            if total > best:
-                best = total
-        return best
+        keys = self.pair_key
+        if not len(keys):
+            return 0
+        sizes = np.diff(self.pair_start)
+        x, y = np.divmod(keys, self.n)
+        rev = y * self.n + x
+        j = np.minimum(np.searchsorted(keys, rev), len(keys) - 1)
+        both = sizes + np.where(keys[j] == rev, sizes[j], 0)
+        return int(both.max())
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
@@ -137,7 +189,7 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     both work. Malformed lines raise ParseError with the line number.
     """
     if isinstance(data, bytes):
-        lines: Iterable[str | bytes] = data.decode("utf-8").splitlines()
+        lines: Iterable[str | bytes] = data.splitlines()
     elif isinstance(data, str):
         lines = data.splitlines()
     else:
@@ -234,12 +286,16 @@ class StaticGraph:
 
 def build_static(g: TemporalGraph) -> StaticGraph:
     """Erase directions, timestamps, and multiplicities."""
-    neighbor_sets: list[set[int]] = [set() for _ in range(g.n)]
-    for x, y in g.pairs:
-        neighbor_sets[x].add(y)
-        neighbor_sets[y].add(x)
-    adj = [sorted(s) for s in neighbor_sets]
-    return StaticGraph(g.n, adj)
+    n = g.n
+    if not n:
+        return StaticGraph(0, [])
+    x, y = np.divmod(g.pair_key, n)
+    keys = np.sort(np.concatenate((x * n + y, y * n + x)))
+    u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    bounds = np.searchsorted(u, np.arange(n + 1)).tolist()
+    nbrs = v.tolist()
+    adj = [nbrs[bounds[i] : bounds[i + 1]] for i in range(n)]
+    return StaticGraph(n, adj)
 
 
 @dataclass

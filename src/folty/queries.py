@@ -24,6 +24,8 @@ from fractions import Fraction
 from enum import Enum
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .engine import CountTable
 from .graph import StaticGraph, TemporalGraph
 from .scans import find_exceeding_entry_ls
@@ -165,13 +167,12 @@ def eval_eea(
     return SolutionSet("eea", certs, len(certs))
 
 
-def _satisfied_pairs(g: TemporalGraph, qualifies) -> set[tuple[int, int]]:
-    """Directed dense pairs (u, v) with some edge u->v passing `qualifies`."""
-    sat: set[tuple[int, int]] = set()
-    for (x, y), (eids, _) in g.pairs.items():
-        if any(qualifies(eid) for eid in eids):
-            sat.add((x, y))
-    return sat
+def _satisfied_pairs(g: TemporalGraph, qualifies: np.ndarray) -> set[tuple[int, int]]:
+    """Directed dense pairs (u, v) with some edge u->v where qualifies[eid]."""
+    if not len(g.pair_key):
+        return set()
+    hit = np.logical_or.reduceat(qualifies[g.pair_eid], g.pair_start[:-1])
+    return {divmod(key, g.n) for key in g.pair_key[hit].tolist()}
 
 
 def _vertex_solutions(
@@ -199,7 +200,7 @@ def eval_eae(
     u -> v that closes at least one triangle."""
     _check_tau(tau)
     totals = _totals(counts)
-    sat = _satisfied_pairs(g, lambda eid: totals[eid] >= 1)
+    sat = _satisfied_pairs(g, np.asarray(totals, dtype=np.int64) >= 1)
     return _vertex_solutions(g, static, sat, tau, "eae")
 
 

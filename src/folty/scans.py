@@ -1,25 +1,14 @@
-"""Sorted-list index primitives shared by every counting pass.
+"""Sorted-list index primitives for the practical engine's forward scans.
 
 All three functions map each entry of a sorted timestamp list ``l1`` to an
-index into a second sorted list ``l2``. Misses are encoded as ``len(l2)``
-(the NONE sentinel), so callers can pad the target list with an infinite
-timestamp and evaluate comparison chains without branching on sentinel
-checks.
+index into a second sorted list ``l2``. Misses are encoded as ``len(l2)``,
+one past the last valid index, so callers test ``index < len(l2)``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Sequence
-
-#: Sentinel timestamp larger than any real one; padding a timestamp list with
-#: this value makes a NONE index fail any `<= t + delta` chain comparison.
-INF = float("inf")
-
-
-def none_index(l2: Sequence[int]) -> int:
-    """Index value that encodes "no entry" for a given target list."""
-    return len(l2)
 
 
 def find_exceeding_entry_ls(l1: Sequence[int], l2: Sequence[int]) -> list[int]:

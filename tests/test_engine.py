@@ -5,11 +5,8 @@ import random
 from conftest import brute_closing_neighbors, random_temporal_graph
 from folty.engine import (
     CountTable,
-    build_interval_set,
     compute_counts,
     in_pass,
-    out_case1,
-    out_case2,
     out_pass,
     oriented_triangles,
 )
@@ -30,36 +27,66 @@ def brute_case(ts1, ts2, ts3, delta):
     return hits
 
 
+def _passes(edges, delta):
+    g = TemporalGraph.from_edges(edges)
+    s = build_static(g)
+    o = degeneracy_order(s)
+    return g, out_pass(g, s, o, delta), in_pass(g, s, o, delta)
+
+
+def _counts_of(g, counts, x, y):
+    """counts of the edges x -> y (original ids) in (t, eid) order."""
+    return [counts[e] for e in range(g.m) if (g.orig[g.src[e]], g.orig[g.dst[e]]) == (x, y)]
+
+
+#: (L1, L2, L3) pairs of the two out-side job shapes on the triangle 1, 2, 3,
+#: which peels 1 first: L1 is on pair {1, 2}, the witness is 3.
+OUT_CASES = {1: ((1, 2), (1, 3), (2, 3)), 2: ((2, 1), (2, 3), (1, 3))}
+
+
+def out_case_hits(case, ts1, ts2, ts3, delta):
+    """out_pass count of each L1 edge, in timestamp order.
+
+    An empty L2 or L3 is replaced by one reversed edge, which keeps the
+    static triangle but is never read for an L1 edge with witness 3."""
+    l1, l2, l3 = OUT_CASES[case]
+    edges = [(*l1, t) for t in ts1] + [(*l2, t) for t in ts2] + [(*l3, t) for t in ts3]
+    for (x, y), ts in ((l2, ts2), (l3, ts3)):
+        if not ts:
+            edges.append((y, x, 0))
+    g, out, _ = _passes(edges, delta)
+    return _counts_of(g, out, *l1)
+
+
+def interval_hits(ts2, ts3, delta, probes):
+    """in_pass count of target edges 2 -> 3 at each probe time, with witness
+    1 (peeled first) evidenced by L2 = E_{2,1} and L3 = E_{3,1}."""
+    edges = [(2, 3, t) for t in probes] + [(2, 1, t) for t in ts2] + [(3, 1, t) for t in ts3]
+    for (x, y), ts in (((2, 1), ts2), ((3, 1), ts3)):
+        if not ts:
+            edges.append((y, x, 0))
+    g, _, inc = _passes(edges, delta)
+    return _counts_of(g, inc, 2, 3)
+
+
 class TestOutCases:
     def test_case1_window_hit(self):
-        out = [0]
-        out_case1([0], [10], [12], [15], 10, out)
-        assert out == [1]
+        assert out_case_hits(1, [10], [12], [15], 10) == [1]
 
     def test_case1_window_miss(self):
-        out = [0]
-        out_case1([0], [10], [12], [15], 4, out)
-        assert out == [0]
+        assert out_case_hits(1, [10], [12], [15], 4) == [0]
 
     def test_case1_empty_l2(self):
-        out = [0]
-        out_case1([0], [10], [], [15], 100, out)
-        assert out == [0]
+        assert out_case_hits(1, [10], [], [15], 100) == [0]
 
     def test_case2_hit(self):
-        out = [0]
-        out_case2([0], [10], [11], [13], 5, out)
-        assert out == [1]
+        assert out_case_hits(2, [10], [11], [13], 5) == [1]
 
     def test_case2_order_violation(self):
-        out = [0]
-        out_case2([0], [10], [16], [13], 5, out)
-        assert out == [0]
+        assert out_case_hits(2, [10], [16], [13], 5) == [0]
 
     def test_case2_empty_l3(self):
-        out = [0]
-        out_case2([0], [10], [11], [], 5, out)
-        assert out == [0]
+        assert out_case_hits(2, [10], [11], [], 5) == [0]
 
     def test_cases_match_exhaustive_pairs(self):
         rng = random.Random(77)
@@ -69,25 +96,36 @@ class TestOutCases:
             ts3 = sorted(rng.randint(0, 40) for _ in range(rng.randint(0, 6)))
             delta = rng.choice([0, 1, 5, 20])
             want = brute_case(ts1, ts2, ts3, delta)
-            got1 = [0] * len(ts1)
-            out_case1(list(range(len(ts1))), ts1, ts2, ts3, delta, got1)
-            assert got1 == want
-            got2 = [0] * len(ts1)
-            out_case2(list(range(len(ts1))), ts1, ts2, ts3, delta, got2)
-            assert got2 == want
+            assert out_case_hits(1, ts1, ts2, ts3, delta) == want
+            assert out_case_hits(2, ts1, ts2, ts3, delta) == want
 
 
 class TestIntervalSet:
+    # The witness's evidence is the interval [t3 - delta, t2]; probing the
+    # target pair just outside and at both ends shows exactly which t it
+    # certifies.
     def test_basic_interval(self):
-        iset = build_interval_set([12], [15], 10, owner=5, target_pair=(1, 2))
-        assert iset.intervals == [(5, 12)]
-        assert iset.owner == 5 and iset.target_pair == (1, 2)
+        assert interval_hits([12], [15], 10, [4, 5, 12, 13]) == [0, 1, 1, 0]
 
     def test_window_violation_empty(self):
-        assert build_interval_set([12], [30], 10, 5, (1, 2)).intervals == []
+        assert interval_hits([12], [30], 10, [4, 5, 12, 13, 20, 30]) == [0] * 6
 
     def test_empty_l2(self):
-        assert build_interval_set([], [30], 10, 5, (1, 2)).intervals == []
+        assert interval_hits([], [30], 10, [20, 25, 30]) == [0, 0, 0]
+
+    def test_overlapping_intervals_count_one_witness_once(self):
+        # [3, 10] and [8, 14] merge into one run; the witness counts once
+        assert interval_hits([10, 14], [13, 18], 10, [2, 3, 9, 14, 15]) == [0, 1, 1, 1, 0]
+
+    def test_intervals_match_exhaustive_pairs(self):
+        rng = random.Random(78)
+        for _ in range(200):
+            probes = sorted(rng.randint(0, 40) for _ in range(rng.randint(1, 6)))
+            ts2 = sorted(rng.randint(0, 40) for _ in range(rng.randint(0, 6)))
+            ts3 = sorted(rng.randint(0, 40) for _ in range(rng.randint(0, 6)))
+            delta = rng.choice([0, 1, 5, 20])
+            want = brute_case(probes, ts2, ts3, delta)
+            assert interval_hits(ts2, ts3, delta, probes) == want
 
 
 class TestPasses:

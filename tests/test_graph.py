@@ -1,7 +1,9 @@
 """Parsing, static projection, peeling order, and stats."""
 
+import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,6 +46,14 @@ class TestParse:
     def test_comments_blank_lines_crlf(self):
         g = parse_edge_list(b"# header\r\n\r\n1 2 10\r\n#tail\n2 3 20\n")
         assert g.m == 2
+
+    def test_invalid_utf8_bytes_reports_line(self):
+        data = b"1 2 3\n4 5 \xff\n"
+        for source in (data, io.BytesIO(data)):
+            with pytest.raises(ParseError) as err:
+                parse_edge_list(source)
+            assert err.value.lineno == 2
+            assert err.value.message == "invalid UTF-8"
 
     def test_binary_and_text_file_objects(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -110,6 +120,65 @@ class TestParse:
         g1 = TemporalGraph.from_edges(triples)
         g2 = parse_edge_list(serialize_edge_list(g1))
         assert serialize_edge_list(g1) == serialize_edge_list(g2)
+
+
+class TestLayout:
+    """The CSR pair layout against definitions built from the edge lists."""
+
+    @staticmethod
+    def corpus(seed, count=25):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_temporal_graph(rng, max_vertices=30, max_edges=250, max_mult=8)
+
+    def test_pairs_view_matches_definition(self):
+        for g in self.corpus(51):
+            want = {}
+            for e in range(g.m):
+                eids, ts = want.setdefault((g.src[e], g.dst[e]), ([], []))
+                eids.append(e)
+                ts.append(g.ts[e])
+            assert dict(g.pairs) == want
+            for (x, y), (eids, _) in want.items():
+                assert g.sigma(x, y) == len(eids)
+            with pytest.raises(TypeError):
+                g.pairs[(0, 0)] = ([], [])
+
+    def test_sigma_max_brute_force(self):
+        for g in self.corpus(52):
+            count = {}
+            for e in range(g.m):
+                key = frozenset((g.src[e], g.dst[e]))
+                count[key] = count.get(key, 0) + 1
+            assert g.sigma_max() == max(count.values(), default=0)
+
+    def test_build_static_matches_set_projection(self):
+        for g in self.corpus(53):
+            nbrs = [set() for _ in range(g.n)]
+            for e in range(g.m):
+                nbrs[g.src[e]].add(g.dst[e])
+                nbrs[g.dst[e]].add(g.src[e])
+            assert build_static(g).adj == [sorted(s) for s in nbrs]
+
+    def test_entries_ascend_within_each_pair(self):
+        for g in self.corpus(54):
+            keys = g.pair_key.tolist()
+            assert keys == sorted(set(keys))
+            assert g.pair_start[0] == 0 and g.pair_start[-1] == g.m
+            assert sorted(g.pair_eid.tolist()) == list(range(g.m))
+            assert g.t_distinct.tolist() == sorted(set(g.ts))
+            r = len(g.t_distinct)
+            for p, key in enumerate(keys):
+                lo, hi = g.pair_start[p], g.pair_start[p + 1]
+                eids = g.pair_eid[lo:hi].tolist()
+                ts = g.pair_ts[lo:hi].tolist()
+                assert lo < hi
+                assert eids == sorted(eids) and ts == sorted(ts)
+                assert all(g.src[e] * g.n + g.dst[e] == key for e in eids)
+                assert ts == [g.ts[e] for e in eids]
+                ranks = [g.t_distinct.tolist().index(t) for t in ts]
+                assert g.pair_comp[lo:hi].tolist() == [p * r + k for k in ranks]
+            assert np.all(np.diff(g.pair_comp) >= 0)
 
 
 class TestStatic:
