@@ -20,13 +20,18 @@ import os
 import sys
 import time
 from fractions import Fraction
+from operator import add
+
+import numpy as np
 
 from .graph import ParseError, build_static, degeneracy_order, graph_stats, parse_edge_list
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_counts
 from .queries import (
+    Certificate,
     ParameterError,
     SolutionSet,
     Universe,
+    VertexSolution,
     eval_eaa,
     eval_eae,
     eval_eea,
@@ -146,7 +151,7 @@ def run_query(
             "engine": engine,
         },
         "num_solutions": solset.total,
-        "solutions": _payload(solset),
+        "solutions": [sol._asdict() for sol in solset.solutions],
         "graph": {
             "n": stats.n,
             "m": stats.m,
@@ -172,7 +177,7 @@ def _run_counts(g, static, ordering, delta, engine, threads, ceiling):
         t0 = time.perf_counter()
         in_count = in_pass(g, static, ordering, delta, iter(triangles))
         in_ms = _ms_since(t0)
-        totals = [a + b for a, b in zip(in_count, out_count)]
+        totals = np.fromiter(map(add, in_count, out_count), dtype=np.int64, count=g.m)
         return totals, out_ms, in_ms
     if engine == "practical":
         t0 = time.perf_counter()
@@ -193,18 +198,6 @@ def _threshold(g, static, totals, kind, tau, tau2, universe) -> SolutionSet:
     if tau2 is None:
         raise UsageError("eaa requires --tau1 and --tau2")
     return eval_eaa(g, static, totals, tau, tau2, universe)
-
-
-def _payload(solset: SolutionSet) -> list[dict]:
-    if solset.kind == "eea":
-        return [
-            {"src": c.src, "dst": c.dst, "t": c.t, "count": c.count, "universe_size": c.universe_size}
-            for c in solset.solutions
-        ]
-    return [
-        {"vertex": s.vertex, "satisfied": s.satisfied, "degree": s.degree}
-        for s in solset.solutions
-    ]
 
 
 def run_sweep(
@@ -258,17 +251,11 @@ def _format_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
     if fmt == "csv":
+        eea = report["query"]["kind"] == "eea"
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        sols = report["solutions"]
-        if report["query"]["kind"] == "eea":
-            writer.writerow(["src", "dst", "t", "count", "universe_size"])
-            for s in sols:
-                writer.writerow([s["src"], s["dst"], s["t"], s["count"], s["universe_size"]])
-        else:
-            writer.writerow(["vertex", "satisfied", "degree"])
-            for s in sols:
-                writer.writerow([s["vertex"], s["satisfied"], s["degree"]])
+        writer = csv.DictWriter(buf, Certificate._fields if eea else VertexSolution._fields)
+        writer.writeheader()
+        writer.writerows(report["solutions"])
         return buf.getvalue()
     lines = []
     q = report["query"]
@@ -293,19 +280,6 @@ def _format_report(report: dict, fmt: str) -> str:
         else:
             lines.append(f"  vertex {s['vertex']} satisfied={s['satisfied']}/{s['degree']}")
     return "\n".join(lines) + "\n"
-
-
-def _write_solutions(report: dict, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if report["query"]["kind"] == "eea":
-            writer.writerow(["src", "dst", "t", "count", "universe_size"])
-            for s in report["solutions"]:
-                writer.writerow([s["src"], s["dst"], s["t"], s["count"], s["universe_size"]])
-        else:
-            writer.writerow(["vertex", "satisfied", "degree"])
-            for s in report["solutions"]:
-                writer.writerow([s["vertex"], s["satisfied"], s["degree"]])
 
 
 def _parse_tau_list(args) -> list[Fraction]:
@@ -404,7 +378,8 @@ def _cmd_query(args) -> int:
     out = _format_report(report, args.format)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     if args.solutions_out:
-        _write_solutions(report, args.solutions_out)
+        with open(args.solutions_out, "w", newline="") as fh:
+            fh.write(_format_report(report, "csv"))
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -22,6 +23,9 @@ import numpy as np
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+
+#: Expanded neighbor entries per vectorized block of StaticGraph.common_counts.
+COMMON_BLOCK = 1 << 14
 
 #: Shared empty pair list: (eids, timestamps).
 EMPTY_PAIR: tuple[list[int], list[int]] = ([], [])
@@ -130,12 +134,18 @@ class TemporalGraph:
                 dropped += 1
             else:
                 kept.append((u, v, t))
-        kept.sort(key=lambda e: e[2])
-        vertices = sorted({u for u, _, _ in kept} | {v for _, v, _ in kept})
+        return cls._from_triples(kept, dropped)
+
+    @classmethod
+    def _from_triples(cls, triples: list[tuple[int, int, int]], dropped: int) -> "TemporalGraph":
+        """Sort loop-free (src, dst, t) triples by t (stable: input order
+        breaks ties), remap ids to dense by ascending original id, construct."""
+        triples.sort(key=lambda e: e[2])
+        vertices = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
         index = {orig: i for i, orig in enumerate(vertices)}
-        src = [index[u] for u, _, _ in kept]
-        dst = [index[v] for _, v, _ in kept]
-        ts = [t for _, _, t in kept]
+        src = [index[u] for u, _, _ in triples]
+        dst = [index[v] for _, v, _ in triples]
+        ts = [t for _, _, t in triples]
         return cls(src, dst, ts, vertices, dropped)
 
     def edge(self, eid: int) -> TemporalEdge:
@@ -223,13 +233,7 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
             continue
         triples.append((u, v, t))
 
-    triples.sort(key=lambda e: e[2])  # stable: input order breaks ties
-    vertices = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
-    index = {orig: i for i, orig in enumerate(vertices)}
-    src = [index[u] for u, _, _ in triples]
-    dst = [index[v] for _, v, _ in triples]
-    ts = [t for _, _, t in triples]
-    return TemporalGraph(src, dst, ts, vertices, dropped)
+    return TemporalGraph._from_triples(triples, dropped)
 
 
 def serialize_edge_list(g: TemporalGraph) -> str:
@@ -242,12 +246,12 @@ def serialize_edge_list(g: TemporalGraph) -> str:
 class StaticGraph:
     """Undirected simple projection of a temporal multigraph.
 
-    Common-neighbor counts per static edge are computed on first use by
-    stepping through the lower-degree endpoint's neighbors and testing
-    adjacency with the other endpoint.
+    Each adj[u] ascends, so `edges` (pairs u < v) ascends by key u * n + v.
+    Common-neighbor counts are one int64 array aligned with `edges`, built
+    on first use.
     """
 
-    __slots__ = ("n", "adj", "degree", "edges", "edge_degree", "_adj_sets", "_common")
+    __slots__ = ("n", "adj", "degree", "edges", "edge_degree", "_adj_sets", "_common", "_edge_key")
 
     def __init__(self, n: int, adj: list[list[int]]):
         self.n = n
@@ -256,7 +260,8 @@ class StaticGraph:
         self.edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
         self.edge_degree = [min(self.degree[u], self.degree[v]) for u, v in self.edges]
         self._adj_sets: list[set[int]] | None = None
-        self._common: dict[tuple[int, int], int] | None = None
+        self._common: np.ndarray | None = None
+        self._edge_key: np.ndarray | None = None
 
     @property
     def adj_sets(self) -> list[set[int]]:
@@ -264,21 +269,41 @@ class StaticGraph:
             self._adj_sets = [set(a) for a in self.adj]
         return self._adj_sets
 
-    def common_counts(self) -> dict[tuple[int, int], int]:
-        """(u, v) -> |N(u) & N(v)| for every static edge, u < v."""
+    def common_counts(self) -> np.ndarray:
+        """|N(u) & N(v)| for every static edge (u, v), in `edges` order.
+
+        Each edge expands the neighbors w of its lower-degree endpoint x and
+        looks the key y * n + w up among the sorted adjacency keys, y being
+        the other endpoint: sum_edge_degree lookups, COMMON_BLOCK at a time.
+        """
         if self._common is None:
-            sets = self.adj_sets
-            common: dict[tuple[int, int], int] = {}
-            for u, v in self.edges:
-                x, y = (u, v) if self.degree[u] <= self.degree[v] else (v, u)
-                other = sets[y]
-                common[(u, v)] = sum(1 for w in self.adj[x] if w in other)
-            self._common = common
+            n = self.n
+            deg = np.asarray(self.degree, dtype=np.int64)
+            own = np.repeat(np.arange(n, dtype=np.int64), deg)
+            nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=len(own))
+            keys = own * n + nbr
+            upper = own < nbr
+            u, v = own[upper], nbr[upper]
+            x = np.where(deg[u] <= deg[v], u, v)
+            y = u + v - x
+            ends = np.cumsum(deg[x])
+            skew = np.cumsum(deg)[x] - ends  # entry j of edge e is nbr[j + skew[e]]
+            total = int(deg[x].sum())
+            common = np.zeros(len(u), dtype=np.int64)
+            for lo in range(0, total, COMMON_BLOCK):
+                j = np.arange(lo, min(lo + COMMON_BLOCK, total))
+                e = np.searchsorted(ends, j, side="right")
+                q = y[e] * n + nbr[j + skew[e]]
+                hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
+                np.add.at(common, e[hit], 1)
+            self._common, self._edge_key = common, keys[upper]
         return self._common
 
-    def common_of(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.common_counts()[key]
+    def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}, found by sorted
+        edge key."""
+        common = self.common_counts()
+        return common[np.searchsorted(self._edge_key, np.minimum(u, v) * self.n + np.maximum(u, v))]
 
     def sum_edge_degree(self) -> int:
         return sum(self.edge_degree)

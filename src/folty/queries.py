@@ -10,10 +10,15 @@ Three query kinds share one counting core:
   eaa  vertices u for which a tau1 fraction of neighbors v admit some
        certificate edge at level tau2.
 
-All threshold comparisons are exact: tau is a Fraction and the test
-count * q >= p * |universe| is integer arithmetic. An edge only certifies if
-it has at least one closing neighbor, so empty universes never satisfy the
-quantifier vacuously.
+Thresholds are array masks over the graph's CSR pair layout. One universe
+size per directed pair (x, y), degree[y] or the common count of static edge
+{x, y}, gives each edge the least count max(1, ceil(tau * size)) it needs to
+certify; the least counts come from a table built in Python integers, so any
+Fraction tau stays exact. eea lists the edges of that certificate mask. eae
+and eaa share one vertex path: a logical_or.reduceat per pair, then a
+bincount of pair sources. eae passes the mask totals >= 1, and eaa is eae
+over the tau2 certificate mask. An edge only certifies if it has at least one
+closing neighbor, so empty universes never satisfy the quantifier vacuously.
 """
 
 from __future__ import annotations
@@ -126,20 +131,38 @@ def _check_tau(tau: Fraction) -> None:
         raise ParameterError(f"threshold must be in (0, 1], got {tau}")
 
 
-def _totals(counts: CountTable | Sequence[int]) -> Sequence[int]:
-    if isinstance(counts, CountTable):
-        return counts.totals()
-    return counts
+def _totals_array(counts: CountTable | Sequence[int]) -> np.ndarray:
+    return np.asarray(counts.totals() if isinstance(counts, CountTable) else counts, dtype=np.int64)
 
 
-def _meets(value: int, tau: Fraction, size: int) -> bool:
-    return value * tau.denominator >= tau.numerator * size
+def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
+    """Per size s, the least integer c >= floor with c >= tau * s. The
+    table runs over 0..max(sizes) in Python integers, so any Fraction stays
+    exact and nothing overflows int64."""
+    p, q = tau.numerator, tau.denominator
+    table = [-(-p * s // q) for s in range(int(sizes.max(initial=0)) + 1)]
+    return np.maximum(np.array(table, dtype=np.int64), floor)[sizes]
 
 
-def _universe_size(static: StaticGraph, u: int, v: int, universe: Universe) -> int:
+def _certified(
+    g: TemporalGraph,
+    static: StaticGraph,
+    totals: np.ndarray,
+    tau: Fraction,
+    universe: Universe,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate mask over edge ids at level tau, and each edge's
+    universe size. Sizes are found once per directed pair (x, y): degree[y],
+    or the common count of static edge {x, y}."""
+    _check_tau(tau)
+    x, y = np.divmod(g.pair_key, g.n)
     if universe is Universe.DST:
-        return static.degree[v]
-    return static.common_of(u, v)
+        pair_size = np.asarray(static.degree, dtype=np.int64)[y]
+    else:
+        pair_size = static.common_of(x, y)
+    size = np.empty(g.m, dtype=np.int64)
+    size[g.pair_eid] = np.repeat(pair_size, np.diff(g.pair_start))
+    return totals >= _least(tau, size, 1), size
 
 
 def eval_eea(
@@ -150,43 +173,37 @@ def eval_eea(
     universe: Universe = Universe.DST,
 ) -> SolutionSet:
     """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|."""
-    _check_tau(tau)
-    totals = _totals(counts)
-    p, q = tau.numerator, tau.denominator
-    certs: list[Certificate] = []
-    orig = g.orig
-    for eid in range(g.m):
-        c = totals[eid]
-        if c < 1:
-            continue
-        u = g.src[eid]
-        v = g.dst[eid]
-        size = _universe_size(static, u, v, universe)
-        if c * q >= p * size:
-            certs.append(Certificate(orig[u], orig[v], g.ts[eid], c, size))
+    totals = _totals_array(counts)
+    mask, size = _certified(g, static, totals, tau, universe)
+    eids = np.flatnonzero(mask)
+    orig, src, dst, ts = g.orig, g.src, g.dst, g.ts
+    certs = [
+        Certificate(orig[src[e]], orig[dst[e]], ts[e], c, s)
+        for e, c, s in zip(eids.tolist(), totals[eids].tolist(), size[eids].tolist())
+    ]
     return SolutionSet("eea", certs, len(certs))
 
 
-def _satisfied_pairs(g: TemporalGraph, qualifies: np.ndarray) -> set[tuple[int, int]]:
-    """Directed dense pairs (u, v) with some edge u->v where qualifies[eid]."""
-    if not len(g.pair_key):
-        return set()
-    hit = np.logical_or.reduceat(qualifies[g.pair_eid], g.pair_start[:-1])
-    return {divmod(key, g.n) for key in g.pair_key[hit].tolist()}
-
-
-def _vertex_solutions(
+def _vertex_query(
     g: TemporalGraph,
     static: StaticGraph,
-    satisfied_pairs: set[tuple[int, int]],
+    qualifies: np.ndarray,
     tau: Fraction,
     kind: str,
 ) -> SolutionSet:
-    sols: list[VertexSolution] = []
-    for u in range(g.n):
-        satisfied = sum(1 for v in static.adj[u] if (u, v) in satisfied_pairs)
-        if _meets(satisfied, tau, static.degree[u]):
-            sols.append(VertexSolution(g.orig[u], satisfied, static.degree[u]))
+    """Vertices u with >= tau * |N(u)| neighbors v such that some edge
+    u -> v qualifies (qualifies is a mask over edge ids)."""
+    satisfied = np.zeros(g.n, dtype=np.int64)
+    if len(g.pair_key):
+        hit = np.logical_or.reduceat(qualifies[g.pair_eid], g.pair_start[:-1])
+        satisfied = np.bincount(g.pair_key[hit] // g.n, minlength=g.n)
+    degree = np.asarray(static.degree, dtype=np.int64)
+    vertices = np.flatnonzero(satisfied >= _least(tau, degree, 0))
+    orig = g.orig
+    sols = [
+        VertexSolution(orig[u], s, d)
+        for u, s, d in zip(vertices.tolist(), satisfied[vertices].tolist(), degree[vertices].tolist())
+    ]
     return SolutionSet(kind, sols, len(sols))
 
 
@@ -199,9 +216,7 @@ def eval_eae(
     """Vertices u with >= tau * |N(u)| neighbors v reachable by an edge
     u -> v that closes at least one triangle."""
     _check_tau(tau)
-    totals = _totals(counts)
-    sat = _satisfied_pairs(g, np.asarray(totals, dtype=np.int64) >= 1)
-    return _vertex_solutions(g, static, sat, tau, "eae")
+    return _vertex_query(g, static, _totals_array(counts) >= 1, tau, "eae")
 
 
 def eval_eaa(
@@ -213,13 +228,10 @@ def eval_eaa(
     universe: Universe = Universe.DST,
 ) -> SolutionSet:
     """Vertices u with >= tau1 * |N(u)| neighbors v that carry some
-    level-tau2 certificate edge u -> v."""
+    level-tau2 certificate edge u -> v: eae over the tau2 certificate mask."""
     _check_tau(tau1)
-    certs = eval_eea(g, static, counts, tau2, universe)
-    index = {orig: i for i, orig in enumerate(g.orig)}
-    sat = {(index[c.src], index[c.dst]) for c in certs.solutions}
-    out = _vertex_solutions(g, static, sat, tau1, "eaa")
-    return out
+    mask, _ = _certified(g, static, _totals_array(counts), tau2, universe)
+    return _vertex_query(g, static, mask, tau1, "eaa")
 
 
 def practical_counts(g: TemporalGraph, static: StaticGraph, delta: int) -> list[int]:

@@ -179,6 +179,11 @@ class TestQuery:
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["src", "dst", "t", "count", "universe_size"]
         assert rows[1] == ["1", "2", "10", "1", "2"]
+        # the file holds exactly the --format csv report
+        for flags in (["eea", "--tau", "0.5"], ["eaa", "--tau1", "0.5", "--tau2", "50%"]):
+            argv = ["query", flags[0], triangle_path, "--delta", "10", *flags[1:], "--format", "csv"]
+            assert main(argv + ["--solutions-out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == capsys.readouterr().out.encode()
 
     def test_threads_env_fallback(self, triangle_path, capsys, monkeypatch):
         monkeypatch.setenv("FOLTY_THREADS", "2")

@@ -1,9 +1,11 @@
 """Seeded differential battery: the folty, practical and oracle engines give
-equal per-edge counts on the shapes that fixed-width integer arithmetic and
-blocked vectorization put at risk."""
+equal per-edge counts, and the array thresholds give the oracle's solution
+sets, on the shapes that fixed-width integer arithmetic and blocked
+vectorization put at risk."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +13,8 @@ import folty.engine
 from folty import cli
 from folty.engine import compute_counts, oriented_triangles
 from folty.graph import TemporalGraph, build_static, degeneracy_order, parse_edge_list
-from folty.oracle import oracle_counts
-from folty.queries import practical_counts
+from folty.oracle import oracle_counts, oracle_solutions
+from folty.queries import ParameterError, QuerySpec, Universe, eval_eaa, eval_eae, eval_eea, practical_counts
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -144,3 +146,61 @@ def test_cli_huge_delta(tmp_path, capsys):
     assert reports["folty"] == reports["practical"] == reports["oracle"]
     # only (1, 2, -2^63) closes, through 1 -> 3 at 0 and 2 -> 3 at 9
     assert [(s["src"], s["dst"], s["t"]) for s in reports["folty"]] == [(1, 2, I64_MIN)]
+
+
+THRESHOLDS = (Fraction(1, 10**30), Fraction(1, 3), Fraction(10**30 - 1, 10**30), Fraction(1))
+
+
+def assert_thresholds_match_oracle(g, deltas=(0, 5, 2**62)):
+    """eval_eea/eae/eaa over every threshold pair and both universes equal
+    oracle_solutions, with payload fields that are plain ints."""
+    static = build_static(g)
+    for delta in deltas:
+        table = compute_counts(g, delta, static)
+        counts = oracle_counts(g, delta, static).count
+
+        def check(mine, kind, tau, tau2=None, universe=Universe.DST):
+            spec = QuerySpec(kind, delta, tau, tau2, universe)
+            assert mine == oracle_solutions(g, delta, spec, static, counts=counts), spec
+            assert all(type(field) is int for sol in mine.solutions for field in sol)
+            json.dumps([sol._asdict() for sol in mine.solutions])
+
+        for tau in THRESHOLDS:
+            check(eval_eae(g, static, table, tau), "eae", tau)
+            for universe in Universe:
+                check(eval_eea(g, static, table, tau, universe), "eea", tau, None, universe)
+                for tau2 in THRESHOLDS:
+                    check(eval_eaa(g, static, table, tau, tau2, universe), "eaa", tau, tau2, universe)
+
+
+def test_thresholds_empty_graph():
+    assert_thresholds_match_oracle(TemporalGraph.from_edges([]))
+    assert_thresholds_match_oracle(parse_edge_list("4 4 1\n"))
+
+
+def test_thresholds_triangle_free():
+    # a 6-cycle with parallel and reciprocal edges: no count is ever positive
+    cycle = [(i, (i + 1) % 6, t) for i in range(6) for t in (i, i + 3)]
+    cycle += [((i + 1) % 6, i, 2 * i) for i in range(0, 6, 2)]
+    g = TemporalGraph.from_edges(cycle)
+    assert not any(compute_counts(g, 2**62).totals())
+    assert_thresholds_match_oracle(g)
+
+
+def test_thresholds_reciprocal_pairs():
+    rng = random.Random(0xD1F6)
+    for _ in range(12):
+        n = rng.randint(3, 9)
+        edges = random_edges(rng, n, rng.randint(3, 50), list(range(20)))
+        edges += [(v, u, t + rng.randint(0, 3)) for u, v, t in rng.sample(edges, len(edges) // 2)]
+        assert_thresholds_match_oracle(TemporalGraph.from_edges(edges))
+
+
+def test_eaa_rejects_tau2_outside_unit_interval():
+    g = TemporalGraph.from_edges([(1, 2, 10), (1, 3, 12), (2, 3, 15)])
+    static = build_static(g)
+    counts = compute_counts(g, 10, static)
+    for bad in (Fraction(0), Fraction(-1, 3), Fraction(10**30 + 1, 10**30), Fraction(2)):
+        for universe in Universe:
+            with pytest.raises(ParameterError):
+                eval_eaa(g, static, counts, Fraction(1, 2), bad, universe)

@@ -225,7 +225,7 @@ class TestOracleEquivalence:
             s = build_static(g)
             o = degeneracy_order(s)
             ct = compute_counts(g, 500, s, o)
-            common = s.common_counts()
+            common = dict(zip(s.edges, s.common_counts().tolist()))
             in_adj_count = [0] * g.n
             for u in range(g.n):
                 for v in o.out_adj[u]:

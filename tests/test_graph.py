@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import folty.graph
 from conftest import random_temporal_graph
 from folty.graph import (
     ParseError,
@@ -186,18 +187,18 @@ class TestStatic:
         g = TemporalGraph.from_edges([(1, 2, 10), (2, 1, 20)])
         s = build_static(g)
         assert s.edges == [(0, 1)]
-        assert s.common_counts()[(0, 1)] == 0
+        assert s.common_counts().tolist() == [0]
 
     def test_triangle_common_counts(self):
         g = TemporalGraph.from_edges([(1, 2, 1), (1, 3, 2), (2, 3, 3)])
         s = build_static(g)
-        assert all(c == 1 for c in s.common_counts().values())
+        assert s.common_counts().tolist() == [1, 1, 1]
         assert len(s.edges) == 3
 
     def test_star(self):
         g = TemporalGraph.from_edges([(1, 2, 1), (1, 3, 2), (1, 4, 3)])
         s = build_static(g)
-        assert all(c == 0 for c in s.common_counts().values())
+        assert s.common_counts().tolist() == [0, 0, 0]
         assert s.edge_degree == [1, 1, 1]
 
     def test_common_matches_brute_on_random_graphs(self):
@@ -206,8 +207,17 @@ class TestStatic:
             g = random_temporal_graph(rng, max_vertices=50, max_edges=200)
             s = build_static(g)
             sets = [set(a) for a in s.adj]
-            for (u, v), c in s.common_counts().items():
+            for (u, v), c in zip(s.edges, s.common_counts().tolist()):
                 assert c == len(sets[u] & sets[v])
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_common_counts_in_small_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(folty.graph, "COMMON_BLOCK", block)
+        rng = random.Random(11 + block)
+        for _ in range(10):
+            s = build_static(random_temporal_graph(rng, max_vertices=20, max_edges=120))
+            sets = [set(a) for a in s.adj]
+            assert s.common_counts().tolist() == [len(sets[u] & sets[v]) for u, v in s.edges]
 
 
 class TestDegeneracy:

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from folty.scans import find_bounding_entry, find_exceeding_entry_bs, find_exceeding_entry_ls
+from folty.scans import find_exceeding_entry_ls
 
 
 def naive_exceeding(l1, l2):
@@ -19,33 +19,10 @@ def naive_exceeding(l1, l2):
     return out
 
 
-def naive_bounding(l1, l2, y):
-    out = []
-    for x in l1:
-        best = len(l2)
-        for j, v in enumerate(l2):
-            if v <= x + y:
-                best = j
-        out.append(best)
-    return out
-
-
 def test_exceeding_ls_examples():
     assert find_exceeding_entry_ls([1, 5, 9], [2, 3, 10]) == [0, 2, 2]
     assert find_exceeding_entry_ls([20], [2, 3, 10]) == [3]
     assert find_exceeding_entry_ls([5], [5]) == [0]
-
-
-def test_exceeding_bs_examples():
-    assert find_exceeding_entry_bs([1, 5, 9], [2, 3, 10]) == [0, 2, 2]
-    assert find_exceeding_entry_bs([], [1, 2]) == []
-    assert find_exceeding_entry_bs([11], [2, 3, 10]) == [3]
-
-
-def test_bounding_examples():
-    assert find_bounding_entry([1, 5, 9], [2, 3, 10], 4) == [1, 1, 2]
-    assert find_bounding_entry([0], [2, 3, 10], 1) == [3]
-    assert find_bounding_entry([10], [10], 0) == [0]
 
 
 def test_random_corpus_matches_naive():
@@ -53,27 +30,13 @@ def test_random_corpus_matches_naive():
     for _ in range(10_000):
         l1 = sorted(rng.randint(0, 100) for _ in range(rng.randint(0, 64)))
         l2 = sorted(rng.randint(0, 100) for _ in range(rng.randint(0, 64)))
-        ls = find_exceeding_entry_ls(l1, l2)
-        assert ls == find_exceeding_entry_bs(l1, l2)
-        assert ls == naive_exceeding(l1, l2)
-        y = rng.randint(0, 30)
-        assert find_bounding_entry(l1, l2, y) == naive_bounding(l1, l2, y)
+        assert find_exceeding_entry_ls(l1, l2) == naive_exceeding(l1, l2)
 
 
 sorted_lists = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=80).map(sorted)
 
 
 @given(sorted_lists, sorted_lists)
-def test_exceeding_variants_agree(l1, l2):
-    assert find_exceeding_entry_ls(l1, l2) == find_exceeding_entry_bs(l1, l2) == naive_exceeding(l1, l2)
-
-
-@given(sorted_lists, sorted_lists, st.integers(min_value=0, max_value=500))
-def test_bounding_matches_naive(l1, l2, y):
-    assert find_bounding_entry(l1, l2, y) == naive_bounding(l1, l2, y)
-
-
-@given(sorted_lists, sorted_lists)
 def test_exceeding_outputs_monotone_nondecreasing(l1, l2):
-    for entries in (find_exceeding_entry_ls(l1, l2), find_exceeding_entry_bs(l1, l2)):
-        assert entries == sorted(entries)
+    entries = find_exceeding_entry_ls(l1, l2)
+    assert entries == sorted(entries)
