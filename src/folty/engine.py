@@ -172,8 +172,9 @@ def out_pass(
     ordering: DegeneracyOrdering,
     delta: int,
     triangles: Iterator[tuple[int, int, list[int]]] | None = None,
-) -> list[int]:
-    """out_count[e] for every edge: closing neighbors on the source's out side.
+) -> np.ndarray:
+    """out_count[e] for every edge, as an int64 array: closing neighbors on
+    the source's out side.
 
     Each triangle (a, b, c) gives four (L1, L2, L3) jobs: pair {a, b} with
     witness c as (E_ab, E_ac, E_bc) and (E_ba, E_bc, E_ac), and pair {a, c}
@@ -207,7 +208,7 @@ def out_pass(
             i, k = i[hit], k[hit]
             hit = ts[k].view(np.uint64) - ts[i].view(np.uint64) <= d
             np.add.at(out_count, g.pair_eid[i[hit]], 1)
-    return out_count.tolist()
+    return out_count
 
 
 def in_pass(
@@ -216,8 +217,9 @@ def in_pass(
     ordering: DegeneracyOrdering,
     delta: int,
     triangles: Iterator[tuple[int, int, list[int]]] | None = None,
-) -> list[int]:
-    """in_count[e] for every edge: closing neighbors on the source's in side.
+) -> np.ndarray:
+    """in_count[e] for every edge, as an int64 array: closing neighbors on
+    the source's in side.
 
     Each triangle (a, b, c) gives the target pair (b, c) the witness a, with
     L2 = E_ba and L3 = E_ca, and the target (c, b) the same with the lists
@@ -270,7 +272,7 @@ def in_pass(
             e, _ = _entries(g, target[np.diff(target, prepend=-1) != 0])
             q = comp[e]
             in_count[g.pair_eid[e]] += np.searchsorted(lo_keys, q, "right") - np.searchsorted(hi_keys, q)
-    return in_count.tolist()
+    return in_count
 
 
 def compute_counts(
@@ -296,4 +298,4 @@ def compute_counts(
     triangles = list(oriented_triangles(static, ordering))
     out_count = out_pass(g, static, ordering, delta, iter(triangles))
     in_count = in_pass(g, static, ordering, delta, iter(triangles))
-    return CountTable(in_count=in_count, out_count=out_count, delta=delta)
+    return CountTable(in_count=in_count.tolist(), out_count=out_count.tolist(), delta=delta)

@@ -14,6 +14,7 @@ position in that order is the edge id used by every per-edge array.
 from __future__ import annotations
 
 import heapq
+import io
 from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
@@ -26,6 +27,14 @@ _I64_MAX = 2**63 - 1
 
 #: Expanded neighbor entries per vectorized block of StaticGraph.common_counts.
 COMMON_BLOCK = 1 << 14
+
+#: Bytes per chunk of the array parse; a chunk runs on to the end of its
+#: last line, so no line is split between chunks.
+CHUNK = 1 << 16
+
+#: The bytes that bytes.split() separates fields on.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
 
 #: Shared empty pair list: (eids, timestamps).
 EMPTY_PAIR: tuple[list[int], list[int]] = ([], [])
@@ -55,9 +64,9 @@ class TemporalGraph:
     Attributes
     ----------
     n, m : vertex and edge counts
-    src, dst, ts : per-edge lists indexed by eid (dense vertex ids); ts is
-        non-decreasing in eid order
-    orig : dense id -> original id
+    src, dst, ts : per-edge int64 arrays indexed by eid (dense vertex ids);
+        ts is non-decreasing in eid order
+    orig : dense id -> original id, a list of Python ints
     pair_key : ascending keys x * n + y of the directed pairs with >= 1 edge;
         the pair id p of (x, y) is its index here
     pair_start : offsets; pair p owns entries pair_start[p]:pair_start[p + 1]
@@ -70,6 +79,8 @@ class TemporalGraph:
         locates a timestamp inside any pair
     pairs : read-only mapping (x, y) -> (eids, timestamps) lists, built on
         first use; only the oracle, the practical engine and tests need it
+    edge_lists : src, dst and ts as lists of Python ints, built on first use
+        for code that reads single edges (the oracle, serialization, tests)
     """
 
     __slots__ = (
@@ -87,29 +98,30 @@ class TemporalGraph:
         "t_distinct",
         "pair_comp",
         "_pairs",
+        "_lists",
     )
 
     def __init__(
         self,
-        src: list[int],
-        dst: list[int],
-        ts: list[int],
+        src: np.ndarray,
+        dst: np.ndarray,
+        ts: np.ndarray,
         orig: list[int],
         self_loops_dropped: int = 0,
     ):
-        self.src = src
-        self.dst = dst
-        self.ts = ts
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
+        self.ts = t = np.asarray(ts, dtype=np.int64)
         self.orig = orig
         self.n = len(orig)
-        self.m = len(src)
+        self.m = len(t)
         self.self_loops_dropped = self_loops_dropped
         self._pairs: Mapping[tuple[int, int], tuple[list[int], list[int]]] | None = None
+        self._lists: tuple[list[int], list[int], list[int]] | None = None
 
-        t = np.asarray(ts, dtype=np.int64)
         if np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be non-decreasing in eid order")
-        key = np.asarray(src, dtype=np.int64) * self.n + np.asarray(dst, dtype=np.int64)
+        key = self.src * self.n + self.dst
         order = np.argsort(key, kind="stable")
         key = key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -127,33 +139,66 @@ class TemporalGraph:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
         """Build from (src, dst, t) triples; same semantics as parsing."""
-        kept: list[tuple[int, int, int]] = []
+        us: list[int] = []
+        vs: list[int] = []
+        ts: list[int] = []
         dropped = 0
         for u, v, t in edges:
             if u == v:
                 dropped += 1
             else:
-                kept.append((u, v, t))
-        return cls._from_triples(kept, dropped)
+                us.append(u)
+                vs.append(v)
+                ts.append(t)
+        return cls._from_rows(us, vs, ts, dropped)
 
     @classmethod
-    def _from_triples(cls, triples: list[tuple[int, int, int]], dropped: int) -> "TemporalGraph":
-        """Sort loop-free (src, dst, t) triples by t (stable: input order
-        breaks ties), remap ids to dense by ascending original id, construct."""
-        triples.sort(key=lambda e: e[2])
-        vertices = sorted({u for u, _, _ in triples} | {v for _, v, _ in triples})
-        index = {orig: i for i, orig in enumerate(vertices)}
-        src = [index[u] for u, _, _ in triples]
-        dst = [index[v] for _, v, _ in triples]
-        ts = [t for _, _, t in triples]
-        return cls(src, dst, ts, vertices, dropped)
+    def _from_rows(cls, us: list[int], vs: list[int], ts: list[int], dropped: int) -> "TemporalGraph":
+        """The array tail for loop-free edges given as Python ints. Ids that
+        int64 cannot hold are ranked in Python first; their ranks go through
+        the tail and the ids themselves become `orig`."""
+        labels = None
+        try:
+            u = np.array(us, dtype=np.int64)
+            v = np.array(vs, dtype=np.int64)
+        except OverflowError:
+            labels = sorted(set(us).union(vs))
+            rank = {x: i for i, x in enumerate(labels)}
+            u = np.array([rank[x] for x in us], dtype=np.int64)
+            v = np.array([rank[x] for x in vs], dtype=np.int64)
+        return cls._from_columns(u, v, np.array(ts, dtype=np.int64), dropped, labels)
+
+    @classmethod
+    def _from_columns(
+        cls, u: np.ndarray, v: np.ndarray, t: np.ndarray, dropped: int, labels: list[int] | None = None
+    ) -> "TemporalGraph":
+        """Sort loop-free int64 edge columns by t (stable: input order breaks
+        ties), remap ids to dense by ascending id, construct. `labels`, if
+        given, are the original ids of the values 0..n-1 in u and v."""
+        order = np.argsort(t, kind="stable")
+        u, v = u[order], v[order]
+        ids = np.sort(np.concatenate((u, v)))
+        new = np.ones(len(ids), dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        ids = ids[new]
+        orig = ids.tolist() if labels is None else labels
+        return cls(np.searchsorted(ids, u), np.searchsorted(ids, v), t[order], orig, dropped)
+
+    @property
+    def edge_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """(src, dst, ts) as lists of Python ints."""
+        if self._lists is None:
+            self._lists = (self.src.tolist(), self.dst.tolist(), self.ts.tolist())
+        return self._lists
 
     def edge(self, eid: int) -> TemporalEdge:
-        return TemporalEdge(self.src[eid], self.dst[eid], self.ts[eid], eid)
+        src, dst, ts = self.edge_lists
+        return TemporalEdge(src[eid], dst[eid], ts[eid], eid)
 
     def iter_edges(self) -> Iterator[TemporalEdge]:
+        src, dst, ts = self.edge_lists
         for eid in range(self.m):
-            yield TemporalEdge(self.src[eid], self.dst[eid], self.ts[eid], eid)
+            yield TemporalEdge(src[eid], dst[eid], ts[eid], eid)
 
     @property
     def pairs(self) -> Mapping[tuple[int, int], tuple[list[int], list[int]]]:
@@ -193,19 +238,94 @@ class TemporalGraph:
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     """Parse "src dst t" lines into a TemporalGraph.
 
-    Accepts a str, bytes, or file object (text or binary; file objects are
-    consumed line by line without loading the whole file). Lines may be in
+    Accepts a str, bytes, or file object (text or binary). Lines may be in
     any order; '#' comment lines and blank lines are ignored; LF and CRLF
     both work. Malformed lines raise ParseError with the line number.
+
+    bytes and binary file objects are read CHUNK bytes at a time (extended
+    to a line end) and tokenized straight into int64 columns. Input that
+    needs a decision per line (a '#', a line without three fields, a field
+    that is not a plain int64, a negative id, or in bytes a lone '\r',
+    which bytes.splitlines treats as a line break) is parsed again from
+    line 1 by the line loop, which gives every message and line number. The
+    chunks read so far are replayed, so the stream need not be seekable.
+    str input and text file objects go to the line loop directly.
     """
     if isinstance(data, bytes):
-        lines: Iterable[str | bytes] = data.splitlines()
-    elif isinstance(data, str):
-        lines = data.splitlines()
+        columns = _parse_chunks(_byte_chunks(data), lone_cr=True)
+        if columns is None:
+            return _parse_lines(data.splitlines())
+    elif isinstance(data, (io.RawIOBase, io.BufferedIOBase)):
+        seen: list[bytes] = []
+        columns = _parse_chunks(_file_chunks(data, seen), lone_cr=False)
+        if columns is None:
+            return _parse_lines(chain(io.BytesIO(b"".join(seen)), data))
+        del seen  # only a replay reads the chunks; the build needs the memory
     else:
-        lines = data
+        return _parse_lines(data.splitlines() if isinstance(data, str) else data)
+    return TemporalGraph._from_columns(*columns)
 
-    triples: list[tuple[int, int, int]] = []
+
+def _byte_chunks(data: bytes) -> Iterator[bytes]:
+    pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + CHUNK - 1) + 1 or len(data)
+        yield data[pos:end]
+        pos = end
+
+
+def _file_chunks(fh: IO[bytes], seen: list[bytes]) -> Iterator[bytes]:
+    """Line-aligned chunks of a binary stream, each also kept in `seen`."""
+    while chunk := fh.read(CHUNK):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        seen.append(chunk)
+        yield chunk
+
+
+def _parse_chunks(
+    chunks: Iterable[bytes], lone_cr: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """Loop-free (u, v, t) int64 columns and the self-loop count of
+    line-aligned chunks, or None if a line needs the line loop."""
+    parts = []
+    for chunk in chunks:
+        if b"#" in chunk or (lone_cr and chunk.count(b"\r") != chunk.count(b"\r\n")):
+            return None
+        try:
+            tokens = np.array(chunk.split(), dtype=np.int64)
+        except (ValueError, OverflowError, TypeError):
+            return None
+        if not _three_per_line(chunk, len(tokens)):
+            return None
+        parts.append(tokens)
+    rows = np.concatenate(parts).reshape(-1, 3) if parts else np.empty((0, 3), dtype=np.int64)
+    if np.any(rows[:, :2] < 0):
+        return None
+    keep = rows[:, 0] != rows[:, 1]
+    return rows[keep, 0], rows[keep, 1], rows[keep, 2], len(keep) - int(keep.sum())
+
+
+def _three_per_line(chunk: bytes, count: int) -> bool:
+    """Whether the `count` fields of `chunk` fall three to a line: the first
+    and third field of each triple on one line, the next triple on a later
+    one."""
+    if count % 3:
+        return False
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    space = _SPACE[b]
+    starts = np.flatnonzero(~space & np.insert(space[:-1], 0, True))
+    line = np.searchsorted(np.flatnonzero(b == 10), starts)
+    first, third = line[0::3], line[2::3]
+    return bool(np.all(first == third) and np.all(first[1:] > third[:-1]))
+
+
+def _parse_lines(lines: Iterable[str | bytes]) -> TemporalGraph:
+    """The line loop: validates each line and raises ParseError at the first
+    bad one."""
+    us: list[int] = []
+    vs: list[int] = []
+    ts: list[int] = []
     dropped = 0
     for lineno, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
@@ -231,15 +351,17 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
         if u == v:
             dropped += 1
             continue
-        triples.append((u, v, t))
-
-    return TemporalGraph._from_triples(triples, dropped)
+        us.append(u)
+        vs.append(v)
+        ts.append(t)
+    return TemporalGraph._from_rows(us, vs, ts, dropped)
 
 
 def serialize_edge_list(g: TemporalGraph) -> str:
     """Canonical text form: one "src dst t" line per edge in eid order."""
     orig = g.orig
-    lines = [f"{orig[g.src[i]]} {orig[g.dst[i]]} {g.ts[i]}" for i in range(g.m)]
+    src, dst, ts = g.edge_lists
+    lines = [f"{orig[u]} {orig[v]} {t}" for u, v, t in zip(src, dst, ts)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -341,12 +463,14 @@ class DegeneracyOrdering:
 def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     """Repeatedly remove the lowest-degree vertex, smallest id first on ties.
 
-    Uses a lazy min-heap keyed by (current degree, id), which honors the id
-    tie rule exactly at O((n + m) log n) cost.
+    Uses a lazy min-heap keyed by the int current degree * n + id, which
+    orders like (degree, id) since id < n, so it honors the id tie rule
+    exactly at O((n + m) log n) cost.
     """
-    n = static.n
+    n, adj = static.n, static.adj
+    heappop, heappush = heapq.heappop, heapq.heappush
     deg = list(static.degree)
-    heap: list[tuple[int, int]] = [(deg[v], v) for v in range(n)]
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     removed = [False] * n
     pi = [0] * n
@@ -354,7 +478,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     alpha = 0
     for rank in range(n):
         while True:
-            d, v = heapq.heappop(heap)
+            d, v = divmod(heappop(heap), n)
             if not removed[v] and d == deg[v]:
                 break
         removed[v] = True
@@ -362,18 +486,18 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
         order.append(v)
         if d > alpha:
             alpha = d
-        for u in static.adj[v]:
+        for u in adj[v]:
             if not removed[u]:
                 deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+                heappush(heap, deg[u] * n + u)
+    # static.edges ascends by (u, v), u < v, so each out_adj[x] receives its
+    # neighbors below x, then those above x, each run ascending: sorted.
     out_adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in static.edges:
         if pi[u] < pi[v]:
             out_adj[u].append(v)
         else:
             out_adj[v].append(u)
-    for lst in out_adj:
-        lst.sort()
     return DegeneracyOrdering(pi, order, alpha, out_adj)
 
 

@@ -51,10 +51,11 @@ def oracle_counts(
     sets = static.adj_sets
     count = [0] * g.m
     witnesses: list[list[tuple[int, int, int]]] = [[] for _ in range(g.m)]
+    src, dst, ts = g.edge_lists
     for eid in range(g.m):
-        x = g.src[eid]
-        y = g.dst[eid]
-        t = g.ts[eid]
+        x = src[eid]
+        y = dst[eid]
+        t = ts[eid]
         hi = t + delta
         for w in sorted(sets[x] & sets[y]):
             found = None
@@ -146,13 +147,14 @@ def _meets(value: int, tau: Fraction, size: int) -> bool:
 
 def _certificates(g, static, counts, tau, universe):
     certs = []
+    src, dst, ts = g.edge_lists
     for eid in range(g.m):
         c = counts[eid]
         if c < 1:
             continue
-        u = g.src[eid]
-        v = g.dst[eid]
+        u = src[eid]
+        v = dst[eid]
         size = _universe_size(static, u, v, universe)
         if _meets(c, tau, size):
-            certs.append(Certificate(g.orig[u], g.orig[v], g.ts[eid], c, size))
+            certs.append(Certificate(g.orig[u], g.orig[v], ts[eid], c, size))
     return certs

@@ -176,10 +176,10 @@ def eval_eea(
     totals = _totals_array(counts)
     mask, size = _certified(g, static, totals, tau, universe)
     eids = np.flatnonzero(mask)
-    orig, src, dst, ts = g.orig, g.src, g.dst, g.ts
+    orig = g.orig
     certs = [
-        Certificate(orig[src[e]], orig[dst[e]], ts[e], c, s)
-        for e, c, s in zip(eids.tolist(), totals[eids].tolist(), size[eids].tolist())
+        Certificate(orig[u], orig[v], t, c, s)
+        for u, v, t, c, s in zip(*(col[eids].tolist() for col in (g.src, g.dst, g.ts, totals, size)))
     ]
     return SolutionSet("eea", certs, len(certs))
 

@@ -66,8 +66,7 @@ def brute_closing_neighbors(g: TemporalGraph, delta: int) -> list[set[int]]:
         nbrs[x].add(y)
         nbrs[y].add(x)
     result: list[set[int]] = []
-    for eid in range(g.m):
-        x, y, t = g.src[eid], g.dst[eid], g.ts[eid]
+    for x, y, t in zip(*g.edge_lists):
         closing = set()
         for w in nbrs[x] & nbrs[y]:
             for t2 in g.pair(x, w)[1]:

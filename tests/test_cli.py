@@ -106,10 +106,13 @@ class TestQuery:
         }
         assert set(report["timings_ms"]) == {
             "load",
-            "orient",
+            "static",
+            "degeneracy",
+            "triangles",
             "out_pass",
             "in_pass",
             "threshold",
+            "stats",
         }
 
     def test_single_edge_delta_zero(self, tmp_path, capsys):
@@ -217,6 +220,9 @@ class TestQuery:
         )
         out = capsys.readouterr().out
         assert "num_solutions 1" in out
+        times = next(line for line in out.splitlines() if line.startswith("time "))
+        keys = [field.split("=")[0] for field in times.split()[1:]]
+        assert keys == ["load", "static", "degeneracy", "triangles", "out_pass", "in_pass", "threshold", "stats"]
 
 
 class TestExitCodes:
@@ -337,3 +343,22 @@ class TestRunQueryAPI:
         assert report["query"]["engine"] == "folty"
         assert report["graph"]["n"] == 4
         assert isinstance(report["timings_ms"]["out_pass"], float)
+
+    @pytest.mark.parametrize("engine", ["folty", "practical", "oracle"])
+    def test_timings_add_up_to_wall_time(self, richer_path, monkeypatch, engine):
+        from fractions import Fraction
+
+        import folty.cli
+
+        reads = []
+
+        def clock():
+            # each read advances by a different whole number of ms, so a
+            # gap between two timers would be missing from the sum
+            reads.append(0.001 * len(reads) ** 2)
+            return reads[-1]
+
+        monkeypatch.setattr(folty.cli.time, "perf_counter", clock)
+        report = run_query(richer_path, "eea", 20, Fraction(1, 4), engine=engine)
+        assert len(reads) > 2
+        assert sum(report["timings_ms"].values()) == pytest.approx((reads[-1] - reads[0]) * 1000)

@@ -100,7 +100,7 @@ def test_duplicate_and_crlf_lines():
     crlf = parse_edge_list(("# header\r\n" + "\r\n".join(lines) + "\r\n").encode())
     lf = parse_edge_list("\n".join(lines) + "\n")
     assert crlf.m == lf.m == 110
-    assert (crlf.src, crlf.dst, crlf.ts) == (lf.src, lf.dst, lf.ts)
+    assert crlf.edge_lists == lf.edge_lists
     assert_engines_agree(crlf, (0, 1, 5, 2**62))
 
 

@@ -2,10 +2,11 @@
 
 import io
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import folty.graph
 from conftest import random_temporal_graph
@@ -98,14 +99,14 @@ class TestParse:
 
     def test_negative_timestamps_ok(self):
         g = parse_edge_list("1 2 -50\n2 3 -100\n")
-        assert g.ts == [-100, -50]
+        assert g.ts.tolist() == [-100, -50]
 
     def test_roundtrip_idempotent(self):
         text = "7 9 30\n1 2 10\n9 7 30\n1 2 10\n"
         g1 = parse_edge_list(text)
         g2 = parse_edge_list(serialize_edge_list(g1))
         assert serialize_edge_list(g1) == serialize_edge_list(g2)
-        assert (g1.src, g1.dst, g1.ts, g1.orig) == (g2.src, g2.dst, g2.ts, g2.orig)
+        assert (g1.edge_lists, g1.orig) == (g2.edge_lists, g2.orig)
 
     @given(
         st.lists(
@@ -121,6 +122,163 @@ class TestParse:
         g1 = TemporalGraph.from_edges(triples)
         g2 = parse_edge_list(serialize_edge_list(g1))
         assert serialize_edge_list(g1) == serialize_edge_list(g2)
+
+
+#: Inputs on which the array parse must agree with the line loop: same graph
+#: or the same ParseError.
+PARSE_CASES = {
+    "comments": b"# header\n1 2 3\n#tail\n  # indented\n2 3 4\n",
+    "comment_after_fields": b"1 2 3\n1 2 #3\n",
+    "blank_lines": b"\n\n1 2 3\n\n \t \n2 3 4\n\n",
+    "crlf": b"1 2 3\r\n\r\n2 3 4\r\n",
+    "lone_cr_line_break": b"1 2 3\r2 3 4\n",
+    "lone_cr_ragged": b"1 2\r3\n",
+    "lone_cr_at_end": b"1 2 3\r",
+    "tabs_vt_ff": b"1\t2\t3\n2 \t3\x0b4\x0c\n",
+    "no_final_newline": b"1 2 3\n2 3 4",
+    "ragged_short": b"1 2 3\n1 2\n",
+    "ragged_long": b"1 2 3 4\n",
+    "ragged_balanced": b"1 2\n3 4 5 6\n",
+    "ragged_spread": b"1 2 3\n4 5\n6\n",
+    "plus_sign": b"+5 2 3\n",
+    "underscores": b"1_000 2 3\n",
+    "minus_zero": b"-0 2 3\n1 -0 4\n",
+    "non_ascii_digits": "\u0661 2 3\n".encode(),
+    "nbsp_inside": "1\u00a02 3\n".encode(),
+    "nbsp_trailing": "1 2 3\u00a0\n".encode(),
+    "unit_separator": b"1\x1f2 3\n",
+    "invalid_utf8": b"1 2 3\n4 5 \xff\n",
+    "non_integer": b"1 2 3\nx 2 3\n",
+    "float": b"1 2 3.0\n",
+    "ids_from_2_63": f"{2**63} 1 5\n1 {2**64 + 7} 6\n{2**63} {2**64 + 7} 7\n".encode(),
+    "negative_src": b"1 2 3\n-1 2 3\n",
+    "negative_dst": b"1 -2 3\n",
+    "int64_extreme_ts": f"1 2 {2**63 - 1}\n2 3 {-(2**63)}\n3 1 0\n".encode(),
+    "ts_above_int64": f"1 2 3\n1 2 {2**63}\n".encode(),
+    "ts_below_int64": f"1 2 {-(2**63) - 1}\n".encode(),
+    "self_loops": b"3 3 5\n1 2 3\n3 3 6\n2 1 3\n",
+    "empty": b"",
+    "only_blank": b"\n \n\t\n",
+    "ties_keep_input_order": b"5 6 10\n1 2 10\n7 5 9\n",
+}
+
+
+class NonSeekable(io.RawIOBase):
+    """A binary stream that cannot seek and returns short reads."""
+
+    def __init__(self, data: bytes, step: int = 5):
+        self._data = data
+        self._pos = 0
+        self._step = step
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), self._step, len(self._data) - self._pos)
+        buf[:n] = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return n
+
+
+def parse_outcome(parse, source):
+    """The graph (every column, orig, dropped loops) or the ParseError."""
+    try:
+        g = parse(source)
+    except ParseError as exc:
+        return ("error", str(exc), exc.lineno)
+    columns = (g.src, g.dst, g.ts)
+    assert all(c.dtype == np.int64 for c in columns)
+    return ("graph", [c.tolist() for c in columns], g.orig, g.self_loops_dropped)
+
+
+def loop_outcomes(data: bytes):
+    """The line loop's outcome for the bytes and for a file holding them."""
+    by_bytes = parse_outcome(folty.graph._parse_lines, data.splitlines())
+    by_file = parse_outcome(folty.graph._parse_lines, io.BytesIO(data))
+    return by_bytes, by_file
+
+
+def assert_parse_matches_loop(data: bytes):
+    by_bytes, by_file = loop_outcomes(data)
+    assert parse_outcome(parse_edge_list, data) == by_bytes
+    assert parse_outcome(parse_edge_list, io.BytesIO(data)) == by_file
+    assert parse_outcome(parse_edge_list, NonSeekable(data)) == by_file
+    assert parse_outcome(parse_edge_list, io.BufferedReader(NonSeekable(data))) == by_file
+
+
+class TestArrayParse:
+    """The chunked int64 parse of bytes and binary streams against the line
+    loop, which decides every input the array parse hands back."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, folty.graph.CHUNK])
+    @pytest.mark.parametrize("name", sorted(PARSE_CASES))
+    def test_matches_line_loop(self, monkeypatch, name, chunk):
+        monkeypatch.setattr(folty.graph, "CHUNK", chunk)
+        assert_parse_matches_loop(PARSE_CASES[name])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_error_after_many_clean_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(folty.graph, "CHUNK", chunk)
+        lines = [f"{i} {i + 1} {i * 7 % 13}" for i in range(200)]
+        lines[150] = "150 151"
+        data = ("\n".join(lines) + "\n").encode()
+        assert_parse_matches_loop(data)
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(NonSeekable(data))
+        assert err.value.lineno == 151
+
+    def test_clean_input_skips_line_loop(self, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("line loop called")
+
+        monkeypatch.setattr(folty.graph, "_parse_lines", refuse)
+        data = b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+1_0 -0 -9\n"
+        for source in (data, io.BytesIO(data), NonSeekable(data)):
+            g = parse_edge_list(source)
+            assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
+            assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
+
+    def test_ids_beyond_int64_kept_exact(self):
+        g = parse_edge_list(PARSE_CASES["ids_from_2_63"])
+        assert g.orig == [1, 2**63, 2**64 + 7]
+        assert g.edge_lists == ([1, 0, 1], [0, 2, 2], [5, 6, 7])
+
+    def test_text_input_matches_bytes(self):
+        for data in PARSE_CASES.values():
+            try:
+                text = data.decode()
+            except UnicodeDecodeError:
+                continue
+            if any(c in text for c in "\r\x0b\x0c"):  # line breaks for str.splitlines only
+                continue
+            want = parse_outcome(parse_edge_list, io.BytesIO(data))
+            assert parse_outcome(parse_edge_list, text) == want
+            assert parse_outcome(parse_edge_list, io.StringIO(text)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["0", "1", "2", "17", "-3", "+4", "1_0", "-0", "#", "#5", "x", "9" * 19,
+                     "-" + "9" * 19, "\u0663", "\xa0", "\x1c", "\xff"]
+                ),
+                max_size=5,
+            ),
+            max_size=12,
+        ),
+        st.lists(st.sampled_from([" ", "  ", "\t", "\x0b"]), min_size=1),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.booleans(),
+        st.sampled_from([1, 3, 7, 64]),
+    )
+    def test_line_soup_matches_line_loop(self, lines, seps, eol, final_eol, chunk):
+        text = eol.join(seps[i % len(seps)].join(fields) for i, fields in enumerate(lines))
+        data = (text + (eol if final_eol else "")).encode("utf-8", "surrogateescape")
+        data = data.replace("\xff".encode(), b"\xff")
+        with mock.patch.object(folty.graph, "CHUNK", chunk):
+            assert_parse_matches_loop(data)
 
 
 class TestLayout:
