@@ -171,15 +171,17 @@ class _Laps:
 
 def _run_counts(g, static, ordering, delta, engine, ceiling, lap: _Laps):
     """Per-edge count totals for one delta, lapping triangles, out_pass and
-    in_pass; the practical and oracle engines' single pass is out_pass."""
+    in_pass; the practical and oracle engines' single pass is out_pass. The
+    ordering keeps its triangle list, so a sweep enumerates it once."""
     if engine == "folty":
-        from .engine import in_pass, out_pass, oriented_triangles
+        from .engine import in_pass, out_pass
 
-        triangles = list(oriented_triangles(static, ordering))
+        ordering.triangles()
+        ordering.pair_order()
         lap("triangles")
-        out_count = out_pass(g, static, ordering, delta, iter(triangles))
+        out_count = out_pass(g, static, ordering, delta)
         lap("out_pass")
-        in_count = in_pass(g, static, ordering, delta, iter(triangles))
+        in_count = in_pass(g, static, ordering, delta)
         lap("in_pass")
         return out_count + in_count
     lap.ms["triangles"] = 0.0

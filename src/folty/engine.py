@@ -11,25 +11,25 @@ t <= t2 <= t3 <= t + delta. The counting is split into
                 each w's evidence into intervals of t, merging them into
                 disjoint runs, and counting the runs that contain e's t.
 
-Both passes walk the same enumeration of static triangles (a, b, c) with
-rank(a) < rank(b) < rank(c), found by intersecting oriented adjacency lists.
-The low vertex a is the out-side witness for pairs {a,b} and {a,c}, and the
-in-side witness for pair {b,c}. Either way only the lists of pairs that
-touch a are expanded entry by entry.
+Both passes walk the same list of static triangles (a, b, c) with
+rank(a) < rank(b) < rank(c), enumerated once per ordering along the
+degeneracy orientation (DegeneracyOrdering.triangles). The low vertex a is
+the out-side witness for pairs {a,b} and {a,c}, and the in-side witness for
+pair {b,c}. Either way only the lists of pairs that touch a are expanded
+entry by entry.
 
 Both passes are vectorized over the graph's CSR pair layout. A job names its
 lists by pair id; every chained lookup is one np.searchsorted on the
-composite key pair_id * R + t_rank (TemporalGraph.pair_comp). Triangles
-become jobs TRIANGLE_BLOCK at a time, and jobs run in blocks of about BLOCK
-expanded entries, so temporaries stay small. Window checks compare t3 - t
-as an unsigned 64-bit difference, so timestamps at the int64 extremes and
-any delta are exact.
+composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The passes
+slice the ordering's flat (a, b, c) arrays TRIANGLE_BLOCK triangles at a
+time into jobs, and jobs run in blocks of about BLOCK expanded entries, so
+temporaries stay small. Window checks compare t3 - t as an unsigned 64-bit
+difference, so timestamps at the int64 extremes and any delta are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -65,39 +65,16 @@ class CountTable:
 def oriented_triangles(
     static: StaticGraph, ordering: DegeneracyOrdering
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (a, b, cs): for the oriented edge (a, b), every c in
-    out_adj[a] & out_adj[b]. Each static triangle appears exactly once,
-    with rank(a) < rank(b) < rank(c) for every yielded c."""
-    out_adj = ordering.out_adj
-    for a in range(static.n):
-        na = out_adj[a]
-        if len(na) < 2:
-            continue
-        for b in na:
-            nb = out_adj[b]
-            if not nb:
-                continue
-            common = _intersect_sorted(na, nb)
-            if common:
-                yield a, b, common
-
-
-def _intersect_sorted(xs: list[int], ys: list[int]) -> list[int]:
-    out = []
-    i = j = 0
-    nx, ny = len(xs), len(ys)
-    while i < nx and j < ny:
-        x = xs[i]
-        y = ys[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return out
+    """Yield (a, b, cs) with Python ints: for the oriented edge (a, b), every
+    c in out_adj[a] & out_adj[b], ascending. Each static triangle appears
+    exactly once, with rank(a) < rank(b) < rank(c) for every yielded c. A
+    view over ordering.triangles(); the passes read the arrays directly."""
+    a, b, c = ordering.triangles()
+    heads = np.flatnonzero((np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0))
+    bounds = np.append(heads, len(c)).tolist()
+    cs = c.tolist()
+    for x, y, lo, hi in zip(a[heads].tolist(), b[heads].tolist(), bounds, bounds[1:]):
+        yield x, y, cs[lo:hi]
 
 
 def _window(g: TemporalGraph, delta: int) -> np.uint64:
@@ -116,25 +93,14 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
 
 
 def _triangle_blocks(
-    g: TemporalGraph,
-    triangles: Iterator[tuple[int, int, list[int]]],
-    by_pair: bool = False,
+    ordering: DegeneracyOrdering, by_pair: bool = False
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The triangles as (a, b, c) arrays, TRIANGLE_BLOCK triangles at a time;
-    with by_pair, grouped by the static pair {b, c}."""
-    heads: list[tuple[int, int]] = []
-    lens: list[int] = []
-    tails: list[list[int]] = []
-    for a, b, cs in triangles:
-        heads.append((a, b))
-        lens.append(len(cs))
-        tails.append(cs)
-    ab = np.repeat(np.array(heads, dtype=np.int64).reshape(-1, 2), lens, axis=0)
-    a, b = ab[:, 0], ab[:, 1]
-    c = np.fromiter(chain.from_iterable(tails), dtype=np.int64, count=len(ab))
-    order = np.argsort(b * g.n + c, kind="stable") if by_pair else np.arange(len(c))
+    """The ordering's triangles as (a, b, c) arrays, TRIANGLE_BLOCK
+    triangles at a time; with by_pair, grouped by the static pair {b, c}."""
+    a, b, c = ordering.triangles()
+    order = ordering.pair_order() if by_pair else None
     for lo in range(0, len(c), TRIANGLE_BLOCK):
-        idx = order[lo : lo + TRIANGLE_BLOCK]
+        idx = slice(lo, lo + TRIANGLE_BLOCK) if order is None else order[lo : lo + TRIANGLE_BLOCK]
         yield a[idx], b[idx], c[idx]
 
 
@@ -171,7 +137,6 @@ def out_pass(
     static: StaticGraph,
     ordering: DegeneracyOrdering,
     delta: int,
-    triangles: Iterator[tuple[int, int, list[int]]] | None = None,
 ) -> np.ndarray:
     """out_count[e] for every edge, as an int64 array: closing neighbors on
     the source's out side.
@@ -184,11 +149,9 @@ def out_pass(
     """
     d = _window(g, delta)
     out_count = np.zeros(g.m, dtype=np.int64)
-    if triangles is None:
-        triangles = oriented_triangles(static, ordering)
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for a, b, c in _triangle_blocks(g, triangles):
+    for a, b, c in _triangle_blocks(ordering):
         ab, ba, ac, ca, bc, cb = (
             _pair_ids(g, x, y) for x, y in ((a, b), (b, a), (a, c), (c, a), (b, c), (c, b))
         )
@@ -216,7 +179,6 @@ def in_pass(
     static: StaticGraph,
     ordering: DegeneracyOrdering,
     delta: int,
-    triangles: Iterator[tuple[int, int, list[int]]] | None = None,
 ) -> np.ndarray:
     """in_count[e] for every edge, as an int64 array: closing neighbors on
     the source's in side.
@@ -238,11 +200,9 @@ def in_pass(
     """
     d = _window(g, delta)
     in_count = np.zeros(g.m, dtype=np.int64)
-    if triangles is None:
-        triangles = oriented_triangles(static, ordering)
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for a, b, c in _triangle_blocks(g, triangles, by_pair=True):
+    for a, b, c in _triangle_blocks(ordering, by_pair=True):
         ba, ca, bc, cb = (_pair_ids(g, x, y) for x, y in ((b, a), (c, a), (b, c), (c, b)))
         pt = np.concatenate((bc, cb))
         p2 = np.concatenate((ba, ca))
@@ -295,7 +255,6 @@ def compute_counts(
         static = build_static(g)
     if ordering is None:
         ordering = degeneracy_order(static)
-    triangles = list(oriented_triangles(static, ordering))
-    out_count = out_pass(g, static, ordering, delta, iter(triangles))
-    in_count = in_pass(g, static, ordering, delta, iter(triangles))
+    out_count = out_pass(g, static, ordering, delta)
+    in_count = in_pass(g, static, ordering, delta)
     return CountTable(in_count=in_count.tolist(), out_count=out_count.tolist(), delta=delta)

@@ -28,6 +28,9 @@ _I64_MAX = 2**63 - 1
 #: Expanded neighbor entries per vectorized block of StaticGraph.common_counts.
 COMMON_BLOCK = 1 << 14
 
+#: Wedges (a, b, c) checked per vectorized block of DegeneracyOrdering.triangles.
+WEDGE_BLOCK = 1 << 14
+
 #: Bytes per chunk of the array parse; a chunk runs on to the end of its
 #: last line, so no line is split between chunks.
 CHUNK = 1 << 16
@@ -243,12 +246,13 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     both work. Malformed lines raise ParseError with the line number.
 
     bytes and binary file objects are read CHUNK bytes at a time (extended
-    to a line end) and tokenized straight into int64 columns. Input that
-    needs a decision per line (a '#', a line without three fields, a field
-    that is not a plain int64, a negative id, or in bytes a lone '\r',
-    which bytes.splitlines treats as a line break) is parsed again from
-    line 1 by the line loop, which gives every message and line number. The
-    chunks read so far are replayed, so the stream need not be seekable.
+    to a line end), lose their comment lines, and are tokenized straight
+    into int64 columns. Input that needs a decision per line (a '#' other
+    than at the start of a line's first field, a line without three fields,
+    a field that is not a plain int64, a negative id, or in bytes a lone
+    '\r', which bytes.splitlines treats as a line break) is parsed again
+    from line 1 by the line loop, which gives every message and line number.
+    The chunks read so far are replayed, so the stream need not be seekable.
     str input and text file objects go to the line loop directly.
     """
     if isinstance(data, bytes):
@@ -290,8 +294,12 @@ def _parse_chunks(
     line-aligned chunks, or None if a line needs the line loop."""
     parts = []
     for chunk in chunks:
-        if b"#" in chunk or (lone_cr and chunk.count(b"\r") != chunk.count(b"\r\n")):
+        if lone_cr and chunk.count(b"\r") != chunk.count(b"\r\n"):
             return None
+        if b"#" in chunk:
+            chunk = _drop_comments(chunk)
+            if chunk is None:
+                return None
         try:
             tokens = np.array(chunk.split(), dtype=np.int64)
         except (ValueError, OverflowError, TypeError):
@@ -304,6 +312,27 @@ def _parse_chunks(
         return None
     keep = rows[:, 0] != rows[:, 1]
     return rows[keep, 0], rows[keep, 1], rows[keep, 2], len(keep) - int(keep.sum())
+
+
+def _drop_comments(chunk: bytes) -> bytes | None:
+    """`chunk` without its comment lines, those whose first field starts
+    with '#', or None if one is not UTF-8, which the line loop reports. Any
+    other '#' stays, and the tokenizer rejects its field."""
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    eol = b == 10
+    line = np.cumsum(eol) - eol  # a line's newline belongs to it
+    lead = np.flatnonzero(~_SPACE[b])
+    lead = lead[np.diff(line[lead], prepend=-1) != 0]  # first field start per line
+    comment = np.zeros(int(line[-1]) + 1, dtype=bool)
+    comment[line[lead[b[lead] == 35]]] = True
+    drop = comment[line]
+    text = b[drop]
+    if np.any(text >= 0x80):
+        try:
+            text.tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return b[~drop].tobytes()
 
 
 def _three_per_line(chunk: bytes, count: int) -> bool:
@@ -365,25 +394,58 @@ def serialize_edge_list(g: TemporalGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class StaticGraph:
-    """Undirected simple projection of a temporal multigraph.
+def _csr_lists(start: np.ndarray, items: np.ndarray) -> list[list[int]]:
+    """Rows items[start[u]:start[u + 1]] as lists of Python ints."""
+    values = items.tolist()
+    bounds = start.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    Each adj[u] ascends, so `edges` (pairs u < v) ascends by key u * n + v.
-    Common-neighbor counts are one int64 array aligned with `edges`, built
-    on first use.
+
+class StaticGraph:
+    """Undirected simple projection of a temporal multigraph, in CSR form.
+
+    u's neighbors are adj_nbr[adj_start[u]:adj_start[u + 1]], ascending; the
+    static edges are the columns edge_u < edge_v, ascending by key
+    u * n + v. degree is a list of Python ints. adj, edges and edge_degree
+    are list views built on first use, for the oracle, the practical engine
+    and tests. Common-neighbor counts are one int64 array aligned with the
+    edge columns, built on first use.
     """
 
-    __slots__ = ("n", "adj", "degree", "edges", "edge_degree", "_adj_sets", "_common", "_edge_key")
+    __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v", "degree", "_adj", "_edges", "_adj_sets", "_common")
 
-    def __init__(self, n: int, adj: list[list[int]]):
+    def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
         self.n = n
-        self.adj = adj
-        self.degree = [len(a) for a in adj]
-        self.edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-        self.edge_degree = [min(self.degree[u], self.degree[v]) for u, v in self.edges]
+        self.adj_start = adj_start
+        self.adj_nbr = adj_nbr
+        deg = np.diff(adj_start)
+        self.degree = deg.tolist()
+        own = np.repeat(np.arange(n, dtype=np.int64), deg)
+        upper = own < adj_nbr
+        self.edge_u, self.edge_v = own[upper], adj_nbr[upper]
+        self._adj: list[list[int]] | None = None
+        self._edges: list[tuple[int, int]] | None = None
         self._adj_sets: list[set[int]] | None = None
         self._common: np.ndarray | None = None
-        self._edge_key: np.ndarray | None = None
+
+    @property
+    def adj(self) -> list[list[int]]:
+        """adj[u]: u's neighbors, ascending."""
+        if self._adj is None:
+            self._adj = _csr_lists(self.adj_start, self.adj_nbr)
+        return self._adj
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The static edges (u, v), u < v, ascending."""
+        if self._edges is None:
+            self._edges = list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
+        return self._edges
+
+    @property
+    def edge_degree(self) -> list[int]:
+        """min(degree[u], degree[v]) for every static edge (u, v)."""
+        return self._edge_degree_array().tolist()
 
     @property
     def adj_sets(self) -> list[set[int]]:
@@ -391,26 +453,27 @@ class StaticGraph:
             self._adj_sets = [set(a) for a in self.adj]
         return self._adj_sets
 
+    def _edge_degree_array(self) -> np.ndarray:
+        deg = np.diff(self.adj_start)
+        return np.minimum(deg[self.edge_u], deg[self.edge_v])
+
     def common_counts(self) -> np.ndarray:
-        """|N(u) & N(v)| for every static edge (u, v), in `edges` order.
+        """|N(u) & N(v)| for every static edge (u, v), in edge order.
 
         Each edge expands the neighbors w of its lower-degree endpoint x and
         looks the key y * n + w up among the sorted adjacency keys, y being
         the other endpoint: sum_edge_degree lookups, COMMON_BLOCK at a time.
         """
         if self._common is None:
-            n = self.n
-            deg = np.asarray(self.degree, dtype=np.int64)
-            own = np.repeat(np.arange(n, dtype=np.int64), deg)
-            nbr = np.fromiter(chain.from_iterable(self.adj), dtype=np.int64, count=len(own))
-            keys = own * n + nbr
-            upper = own < nbr
-            u, v = own[upper], nbr[upper]
+            n, start, nbr = self.n, self.adj_start, self.adj_nbr
+            deg = np.diff(start)
+            keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + nbr
+            u, v = self.edge_u, self.edge_v
             x = np.where(deg[u] <= deg[v], u, v)
             y = u + v - x
             ends = np.cumsum(deg[x])
-            skew = np.cumsum(deg)[x] - ends  # entry j of edge e is nbr[j + skew[e]]
-            total = int(deg[x].sum())
+            skew = start[x + 1] - ends  # entry j of edge e is nbr[j + skew[e]]
+            total = int(ends[-1]) if len(ends) else 0
             common = np.zeros(len(u), dtype=np.int64)
             for lo in range(0, total, COMMON_BLOCK):
                 j = np.arange(lo, min(lo + COMMON_BLOCK, total))
@@ -418,46 +481,96 @@ class StaticGraph:
                 q = y[e] * n + nbr[j + skew[e]]
                 hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
                 np.add.at(common, e[hit], 1)
-            self._common, self._edge_key = common, keys[upper]
+            self._common = common
         return self._common
 
     def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}, found by sorted
         edge key."""
         common = self.common_counts()
-        return common[np.searchsorted(self._edge_key, np.minimum(u, v) * self.n + np.maximum(u, v))]
+        n = self.n
+        return common[np.searchsorted(self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v))]
 
     def sum_edge_degree(self) -> int:
-        return sum(self.edge_degree)
+        return int(self._edge_degree_array().sum())
 
 
 def build_static(g: TemporalGraph) -> StaticGraph:
     """Erase directions, timestamps, and multiplicities."""
     n = g.n
-    if not n:
-        return StaticGraph(0, [])
     x, y = np.divmod(g.pair_key, n)
     keys = np.sort(np.concatenate((x * n + y, y * n + x)))
     u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    bounds = np.searchsorted(u, np.arange(n + 1)).tolist()
-    nbrs = v.tolist()
-    adj = [nbrs[bounds[i] : bounds[i + 1]] for i in range(n)]
-    return StaticGraph(n, adj)
+    return StaticGraph(n, np.searchsorted(u, np.arange(n + 1)), v)
 
 
-@dataclass
 class DegeneracyOrdering:
     """Min-degree peeling order and the orientation it induces.
 
     pi[u] is u's rank in the removal order (0 removed first); alpha is the
-    largest residual degree seen at any removal; out_adj[u] lists the static
-    neighbors of u with larger rank, sorted by id.
+    largest residual degree seen at any removal. The orientation points each
+    static edge from its lower-rank endpoint to the other, in CSR form: u's
+    out-neighbors are out_nbr[out_start[u]:out_start[u + 1]], ascending by
+    id; out_adj is the same as a list of lists, built on first use.
     """
 
-    pi: list[int]
-    order: list[int]
-    alpha: int
-    out_adj: list[list[int]]
+    __slots__ = ("pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangles", "_pair_order")
+
+    def __init__(self, pi: list[int], order: list[int], alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
+        self.pi = pi
+        self.order = order
+        self.alpha = alpha
+        self.out_start = out_start
+        self.out_nbr = out_nbr
+        self._out_adj: list[list[int]] | None = None
+        self._triangles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pair_order: np.ndarray | None = None
+
+    @property
+    def out_adj(self) -> list[list[int]]:
+        if self._out_adj is None:
+            self._out_adj = _csr_lists(self.out_start, self.out_nbr)
+        return self._out_adj
+
+    def triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every static triangle once, as int64 columns (a, b, c) with
+        rank(a) < rank(b) < rank(c), ascending by (a, b, c); built on first
+        use.
+
+        For each oriented edge (a, b), c runs over the out-neighbors of a and
+        is kept where b -> c is an oriented edge: sum of outdeg^2 <= alpha * m
+        lookups among the sorted orientation keys, WEDGE_BLOCK at a time.
+        """
+        if self._triangles is None:
+            n, start, nbr = len(self.pi), self.out_start, self.out_nbr
+            outdeg = np.diff(start)
+            tail = np.repeat(np.arange(n, dtype=np.int64), outdeg)
+            keys = tail * n + nbr
+            e = np.flatnonzero((outdeg[tail] > 1) & (outdeg[nbr] > 0))
+            size = outdeg[tail[e]]
+            ends = np.cumsum(size)
+            skew = start[tail[e] + 1] - ends  # wedge j of edge e[i] ends at nbr[j + skew[i]]
+            total = int(ends[-1]) if len(ends) else 0
+            edge_parts, c_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+            for lo in range(0, total, WEDGE_BLOCK):
+                j = np.arange(lo, min(lo + WEDGE_BLOCK, total))
+                i = np.searchsorted(ends, j, side="right")
+                c = nbr[j + skew[i]]
+                q = nbr[e[i]] * n + c
+                hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
+                edge_parts.append(e[i[hit]])
+                c_parts.append(c[hit])
+            ab = np.concatenate(edge_parts)
+            self._triangles = (tail[ab], nbr[ab], np.concatenate(c_parts))
+        return self._triangles
+
+    def pair_order(self) -> np.ndarray:
+        """Indices that sort `triangles` by static pair {b, c}, ties kept in
+        triangle order; built on first use."""
+        if self._pair_order is None:
+            _, b, c = self.triangles()
+            self._pair_order = np.argsort(b * len(self.pi) + c, kind="stable")
+        return self._pair_order
 
 
 def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
@@ -465,9 +578,12 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
 
     Uses a lazy min-heap keyed by the int current degree * n + id, which
     orders like (degree, id) since id < n, so it honors the id tie rule
-    exactly at O((n + m) log n) cost.
+    exactly at O((n + m) log n) cost. The orientation is then one sort of
+    the static edge columns by tail * n + head.
     """
-    n, adj = static.n, static.adj
+    n = static.n
+    nbrs = static.adj_nbr.tolist()
+    bounds = static.adj_start.tolist()
     heappop, heappush = heapq.heappop, heapq.heappush
     deg = list(static.degree)
     heap = [d * n + v for v, d in enumerate(deg)]
@@ -486,19 +602,15 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
         order.append(v)
         if d > alpha:
             alpha = d
-        for u in adj[v]:
+        for u in nbrs[bounds[v] : bounds[v + 1]]:
             if not removed[u]:
                 deg[u] -= 1
                 heappush(heap, deg[u] * n + u)
-    # static.edges ascends by (u, v), u < v, so each out_adj[x] receives its
-    # neighbors below x, then those above x, each run ascending: sorted.
-    out_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in static.edges:
-        if pi[u] < pi[v]:
-            out_adj[u].append(v)
-        else:
-            out_adj[v].append(u)
-    return DegeneracyOrdering(pi, order, alpha, out_adj)
+    u, v = static.edge_u, static.edge_v
+    ranks = np.array(pi, dtype=np.int64)
+    up = ranks[u] < ranks[v]
+    tail, head = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
+    return DegeneracyOrdering(pi, order, alpha, np.searchsorted(tail, np.arange(n + 1)), head)
 
 
 @dataclass

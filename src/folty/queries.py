@@ -157,7 +157,7 @@ def _certified(
     _check_tau(tau)
     x, y = np.divmod(g.pair_key, g.n)
     if universe is Universe.DST:
-        pair_size = np.asarray(static.degree, dtype=np.int64)[y]
+        pair_size = np.diff(static.adj_start)[y]
     else:
         pair_size = static.common_of(x, y)
     size = np.empty(g.m, dtype=np.int64)
@@ -197,7 +197,7 @@ def _vertex_query(
     if len(g.pair_key):
         hit = np.logical_or.reduceat(qualifies[g.pair_eid], g.pair_start[:-1])
         satisfied = np.bincount(g.pair_key[hit] // g.n, minlength=g.n)
-    degree = np.asarray(static.degree, dtype=np.int64)
+    degree = np.diff(static.adj_start)
     vertices = np.flatnonzero(satisfied >= _least(tau, degree, 0))
     orig = g.orig
     sols = [

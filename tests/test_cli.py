@@ -309,6 +309,20 @@ class TestSweep:
         assert len(meta["count_runs"]) == 2  # one counting pass per delta
         assert len(rows) == 8
 
+    def test_triangles_enumerated_once_per_sweep(self, richer_path, monkeypatch):
+        import folty.graph
+
+        builds = []
+        enumerate_triangles = folty.graph.DegeneracyOrdering.triangles
+
+        def counting(self):
+            builds.append(self._triangles is None)
+            return enumerate_triangles(self)
+
+        monkeypatch.setattr(folty.graph.DegeneracyOrdering, "triangles", counting)
+        run_sweep(richer_path, "eea", deltas=[10, 60, 300], taus=[_tau("0.5")])
+        assert builds.count(True) == 1 and len(builds) > 3
+
     def test_empty_grid_usage_error(self, richer_path, capsys):
         assert main(["sweep", "eea", richer_path, "--delta-list", "10"]) == EXIT_USAGE
 

@@ -14,7 +14,16 @@ from folty import cli
 from folty.engine import compute_counts, oriented_triangles
 from folty.graph import TemporalGraph, build_static, degeneracy_order, parse_edge_list
 from folty.oracle import oracle_counts, oracle_solutions
-from folty.queries import ParameterError, QuerySpec, Universe, eval_eaa, eval_eae, eval_eea, practical_counts
+from folty.queries import (
+    ParameterError,
+    QuerySpec,
+    Universe,
+    eval_eaa,
+    eval_eae,
+    eval_eea,
+    practical_counts,
+    practical_eea,
+)
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -194,6 +203,24 @@ def test_thresholds_reciprocal_pairs():
         edges = random_edges(rng, n, rng.randint(3, 50), list(range(20)))
         edges += [(v, u, t + rng.randint(0, 3)) for u, v, t in rng.sample(edges, len(edges) // 2)]
         assert_thresholds_match_oracle(TemporalGraph.from_edges(edges))
+
+
+def test_oracle_and_practical_payloads_are_int():
+    rng = random.Random(0xD1F7)
+    found = 0
+    for _ in range(8):
+        g = TemporalGraph.from_edges(random_edges(rng, 7, 60, list(range(20))))
+        static = build_static(g)
+        assert all(type(d) is int for d in static.degree)
+        solsets = [practical_eea(g, static, 5, Fraction(1, 3), universe) for universe in Universe]
+        for kind, tau2 in (("eea", None), ("eae", None), ("eaa", Fraction(1, 3))):
+            for universe in Universe:
+                spec = QuerySpec(kind, 5, Fraction(1, 3), tau2, universe)
+                solsets.append(oracle_solutions(g, 5, spec, static))
+        for sols in solsets:
+            found += sols.total
+            assert all(type(field) is int for sol in sols.solutions for field in sol)
+    assert found > 0
 
 
 def test_eaa_rejects_tau2_outside_unit_interval():

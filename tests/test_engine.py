@@ -278,3 +278,25 @@ class TestOracleEquivalence:
     def test_count_table_totals(self):
         ct = CountTable([1, 0], [2, 3], 5)
         assert ct.totals() == [3, 3]
+
+
+class TestOrderingCache:
+    """One (static, ordering) serves every delta: its triangle list is built
+    once and reused, and the counts equal fresh per-delta runs."""
+
+    def test_deltas_in_any_order_match_fresh_runs_and_oracle(self):
+        rng = random.Random(0xCAC4E)
+        deltas = [0, 1, 5, 20, 1000, 2**62]
+        for _ in range(12):
+            g = random_temporal_graph(rng, max_vertices=16, max_edges=140)
+            fresh = {d: compute_counts(g, d) for d in deltas}
+            want = {d: oracle_counts(g, d).count for d in deltas}
+            s = build_static(g)
+            o = degeneracy_order(s)
+            triangles = o.triangles()
+            for order in (deltas, deltas[::-1], rng.sample(deltas, len(deltas)), deltas):
+                for d in order:
+                    ct = compute_counts(g, d, s, o)
+                    assert (ct.in_count, ct.out_count) == (fresh[d].in_count, fresh[d].out_count)
+                    assert ct.totals() == want[d]
+            assert o.triangles() is triangles

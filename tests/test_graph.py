@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import folty.graph
 from conftest import random_temporal_graph
+from folty.engine import oriented_triangles
 from folty.graph import (
     ParseError,
+    StaticGraph,
     TemporalGraph,
     build_static,
     degeneracy_order,
@@ -129,6 +131,20 @@ class TestParse:
 PARSE_CASES = {
     "comments": b"# header\n1 2 3\n#tail\n  # indented\n2 3 4\n",
     "comment_after_fields": b"1 2 3\n1 2 #3\n",
+    "comment_header": b"# src dst t\n1 2 3\n2 3 4\n",
+    "comment_mid_file": b"1 2 3\n# note\n2 3 4\n",
+    "comment_indented": b"1 2 3\n  # x\n\t#y\n2 3 4\n",
+    "comment_hash_fields": b"#1 2 3\n1 2 3\n",
+    "comment_trailing_after_fields": b"1 2 3 # note\n2 3 4\n",
+    "comment_inside_field": b"1 #2 3\n",
+    "comment_hash_after_digit": b"1# 2 3\n",
+    "comment_only_file": b"# a\n#b\n  # c",
+    "comment_crlf": b"# a\r\n1 2 3\r\n# b\r\n",
+    "comment_last_line_no_newline": b"1 2 3\n# end",
+    "comment_utf8": "# \u00e9t\u00e9\n1 2 3\n".encode(),
+    "comment_invalid_utf8": b"1 2 3\n# \xff\n2 3 4\n",
+    "comment_truncated_utf8": b"# \xc3\n1 2 3\n",
+    "comment_after_unit_separator": b"\x1f# x\n1 2 3\n",
     "blank_lines": b"\n\n1 2 3\n\n \t \n2 3 4\n\n",
     "crlf": b"1 2 3\r\n\r\n2 3 4\r\n",
     "lone_cr_line_break": b"1 2 3\r2 3 4\n",
@@ -238,6 +254,17 @@ class TestArrayParse:
             g = parse_edge_list(source)
             assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
             assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
+
+    def test_comment_lines_skip_line_loop(self, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("line loop called")
+
+        monkeypatch.setattr(folty.graph, "_parse_lines", refuse)
+        data = b"# src dst t\n1 2 3\n  # mid\n#4 5 6\n\t#\n4 5 6\n# \xc3\xa9\n# end"
+        for source in (data, io.BytesIO(data), NonSeekable(data)):
+            g = parse_edge_list(source)
+            assert g.edge_lists == ([0, 2], [1, 3], [3, 6])
+            assert g.orig == [1, 2, 4, 5]
 
     def test_ids_beyond_int64_kept_exact(self):
         g = parse_edge_list(PARSE_CASES["ids_from_2_63"])
@@ -376,6 +403,131 @@ class TestStatic:
             s = build_static(random_temporal_graph(rng, max_vertices=20, max_edges=120))
             sets = [set(a) for a in s.adj]
             assert s.common_counts().tolist() == [len(sets[u] & sets[v]) for u, v in s.edges]
+
+
+def static_from_edges(n, edges):
+    """A StaticGraph on vertices 0..n-1, isolated ones allowed, built
+    straight from its CSR arrays."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    start = np.cumsum([0] + [len(x) for x in nbrs], dtype=np.int64)
+    return StaticGraph(n, start, np.array([w for x in nbrs for w in sorted(x)], dtype=np.int64))
+
+
+def static_corpus(seed):
+    """Static graphs of every shape the array layers branch on."""
+    rng = random.Random(seed)
+    yield static_from_edges(0, [])
+    yield static_from_edges(5, [])
+    yield static_from_edges(9, [(0, leaf) for leaf in range(1, 9)])  # star
+    yield static_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])  # K12
+    yield static_from_edges(10, [(1, 4), (4, 7), (1, 7), (7, 8)])  # isolated vertices
+    for _ in range(20):
+        yield build_static(random_temporal_graph(rng, max_vertices=25, max_edges=200))
+    for _ in range(10):
+        n = rng.randint(1, 30)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        yield static_from_edges(n, edges)
+
+
+class TestStaticArrays:
+    """The CSR static graph and its list views against their definitions."""
+
+    def test_list_views_match_definitions(self):
+        for s in static_corpus(61):
+            nbrs = [s.adj_nbr[s.adj_start[u] : s.adj_start[u + 1]].tolist() for u in range(s.n)]
+            assert s.adj == nbrs
+            assert all(a == sorted(set(a)) and u not in a for u, a in enumerate(s.adj))
+            assert s.degree == [len(a) for a in nbrs]
+            edges = sorted((u, v) for u in range(s.n) for v in nbrs[u] if u < v)
+            assert s.edges == edges
+            assert list(zip(s.edge_u.tolist(), s.edge_v.tolist())) == edges
+            assert s.edge_degree == [min(s.degree[u], s.degree[v]) for u, v in edges]
+            assert s.edge_u.dtype == s.edge_v.dtype == np.int64
+
+    def test_payload_types_are_int(self):
+        for s in static_corpus(62):
+            assert all(type(d) is int for d in s.degree)
+            assert all(type(x) is int for e in s.edges for x in e)
+            assert all(type(x) is int for a in s.adj for x in a)
+            assert all(type(d) is int for d in s.edge_degree)
+            assert type(s.sum_edge_degree()) is int
+
+    def test_sum_edge_degree_brute_force(self):
+        for s in static_corpus(63):
+            sets = [set(a) for a in s.adj]
+            want = sum(min(len(sets[u]), len(sets[v])) for u in range(s.n) for v in sets[u] if u < v)
+            assert s.sum_edge_degree() == want
+
+
+class TestOrientation:
+    """The CSR out-orientation and its list view against the peel's ranks."""
+
+    def test_out_adj_matches_definition(self):
+        for s in static_corpus(64):
+            o = degeneracy_order(s)
+            assert sorted(o.pi) == list(range(s.n)) and all(type(r) is int for r in o.pi)
+            want = [sorted(v for v in s.adj[u] if o.pi[v] > o.pi[u]) for u in range(s.n)]
+            assert o.out_adj == want
+            assert o.out_start.tolist() == np.cumsum([0] + [len(a) for a in want]).tolist()
+            assert o.out_nbr.tolist() == [v for a in want for v in a]
+            assert all(type(v) is int for a in o.out_adj for v in a)
+
+
+def old_oriented_triangles(ordering):
+    """The (a, b, cs) sequence of the list intersection the arrays replace."""
+    out_adj = ordering.out_adj
+    for a, na in enumerate(out_adj):
+        for b in na:
+            common = sorted(set(na) & set(out_adj[b]))
+            if common:
+                yield a, b, common
+
+
+class TestTriangles:
+    """DegeneracyOrdering.triangles against a brute-force triangle set."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, folty.graph.WEDGE_BLOCK])
+    def test_match_brute_force(self, monkeypatch, block):
+        monkeypatch.setattr(folty.graph, "WEDGE_BLOCK", block)
+        for s in static_corpus(65 + block):
+            o = degeneracy_order(s)
+            sets = [set(x) for x in s.adj]
+            want = {
+                frozenset((u, v, w))
+                for u in range(s.n) for v in sets[u] for w in sets[u] & sets[v]
+            }
+            a, b, c = o.triangles()
+            assert a.dtype == b.dtype == c.dtype == np.int64
+            rows = list(zip(a.tolist(), b.tolist(), c.tolist()))
+            assert rows == sorted(rows)
+            assert all(o.pi[x] < o.pi[y] < o.pi[z] for x, y, z in rows)
+            assert len(rows) == len(want) and {frozenset(r) for r in rows} == want
+
+    @pytest.mark.parametrize("block", [1, 2, 7, folty.graph.WEDGE_BLOCK])
+    def test_view_yields_old_sequence(self, monkeypatch, block):
+        monkeypatch.setattr(folty.graph, "WEDGE_BLOCK", block)
+        for s in static_corpus(66 + block):
+            o = degeneracy_order(s)
+            got = list(oriented_triangles(s, o))
+            assert got == list(old_oriented_triangles(o))
+            assert all(type(x) is int for a, b, cs in got for x in (a, b, *cs))
+
+    def test_pair_order_groups_by_bc(self):
+        for s in static_corpus(67):
+            o = degeneracy_order(s)
+            _, b, c = o.triangles()
+            order = o.pair_order().tolist()
+            keys = [(b[i], c[i], i) for i in order]
+            assert keys == sorted(keys)
+
+    def test_built_once_per_ordering(self):
+        o = degeneracy_order(static_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]))
+        assert o.triangles() is o.triangles()
+        assert o.pair_order() is o.pair_order()
+        assert len(o.triangles()[0]) == 220
 
 
 class TestDegeneracy:
