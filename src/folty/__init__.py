@@ -9,7 +9,8 @@ Engines:
   * ``compute_counts`` splits the work by a degeneracy orientation into an
     out-neighbor pass (chained searches) and an in-neighbor pass (witness
     intervals merged into disjoint runs, counted per edge), both vectorized
-    over the graph's CSR pair layout.
+    over the graph's CSR pair layout. ``count_tables`` counts several deltas
+    from one expansion; ``compute_counts`` is its one-delta case.
   * ``practical_counts`` is a simpler baseline that walks every static
     triangle from the lower-degree endpoint.
   * ``oracle_counts`` is a brute-force reference used for cross-validation.
@@ -28,7 +29,7 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .engine import CountTable, compute_counts, in_pass, out_pass
+from .engine import CountTable, compute_counts, count_tables, in_pass, out_pass
 from .oracle import OracleCeilingError, oracle_counts, oracle_solutions
 from .queries import (
     Certificate,
@@ -66,6 +67,7 @@ __all__ = [
     "VertexSolution",
     "build_static",
     "compute_counts",
+    "count_tables",
     "degeneracy_order",
     "eval_eaa",
     "eval_eae",

@@ -21,6 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .engine import count_tables
 from .graph import ParseError, build_static, degeneracy_order, graph_stats, parse_edge_list
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_counts
 from .queries import (
@@ -125,8 +126,8 @@ def run_query(
     lap("static")
     ordering = degeneracy_order(static)
     lap("degeneracy")
-    totals = _run_counts(g, static, ordering, delta, engine, ceiling, lap)
-    solset = _threshold(g, static, totals, kind, tau, tau2, universe)
+    (table,) = _count_tables(g, static, ordering, [delta], engine, ceiling, lap)
+    solset = _threshold(g, static, table, kind, tau, tau2, universe)
     lap("threshold")
     stats = graph_stats(g, static, ordering)
     lap("stats")
@@ -157,7 +158,8 @@ def _ms_since(t0: float) -> float:
 
 class _Laps:
     """Contiguous phase timings in ms: each lap runs from the end of the
-    previous one, so the laps add up to the time since the first clock read."""
+    previous one, so the laps add up to the time since the first clock read.
+    A phase lapped more than once accumulates."""
 
     def __init__(self):
         self.ms: dict[str, float] = {}
@@ -165,45 +167,37 @@ class _Laps:
 
     def __call__(self, key: str) -> None:
         now = time.perf_counter()
-        self.ms[key] = round((now - self._last) * 1000.0, 3)
+        self.ms[key] = round(self.ms.get(key, 0.0) + (now - self._last) * 1000.0, 3)
         self._last = now
 
 
-def _run_counts(g, static, ordering, delta, engine, ceiling, lap: _Laps):
-    """Per-edge count totals for one delta, lapping triangles, out_pass and
-    in_pass; the practical and oracle engines' single pass is out_pass. The
-    ordering keeps its triangle list, so a sweep enumerates it once."""
+def _count_tables(g, static, ordering, deltas, engine, ceiling, lap: _Laps) -> list:
+    """One count table per delta, lapping triangles, out_pass and in_pass.
+    The folty engine counts every delta in one expansion (count_tables); the
+    practical and oracle engines run one pass per delta, lapped as out_pass,
+    and give totals lists."""
     if engine == "folty":
-        from .engine import in_pass, out_pass
-
-        ordering.triangles()
-        ordering.pair_order()
-        lap("triangles")
-        out_count = out_pass(g, static, ordering, delta)
-        lap("out_pass")
-        in_count = in_pass(g, static, ordering, delta)
-        lap("in_pass")
-        return out_count + in_count
+        return count_tables(g, deltas, static, ordering, lap=lap)
     lap.ms["triangles"] = 0.0
     if engine == "practical":
-        totals = practical_counts(g, static, delta)
+        tables = [practical_counts(g, static, delta) for delta in deltas]
     elif engine == "oracle":
-        totals = oracle_counts(g, delta, static, max_edges=ceiling).count
+        tables = [oracle_counts(g, delta, static, max_edges=ceiling).count for delta in deltas]
     else:
         raise UsageError(f"unknown engine {engine!r}; expected folty, practical, or oracle")
     lap("out_pass")
     lap.ms["in_pass"] = 0.0
-    return totals
+    return tables
 
 
-def _threshold(g, static, totals, kind, tau, tau2, universe) -> SolutionSet:
+def _threshold(g, static, table, kind, tau, tau2, universe) -> SolutionSet:
     if kind == "eea":
-        return eval_eea(g, static, totals, tau, universe)
+        return eval_eea(g, static, table, tau, universe)
     if kind == "eae":
-        return eval_eae(g, static, totals, tau)
+        return eval_eae(g, static, table, tau)
     if tau2 is None:
         raise UsageError("eaa requires --tau1 and --tau2")
-    return eval_eaa(g, static, totals, tau, tau2, universe)
+    return eval_eaa(g, static, table, tau, tau2, universe)
 
 
 def run_sweep(
@@ -217,11 +211,14 @@ def run_sweep(
     threads: int = 1,
     ceiling: int = DEFAULT_CEILING,
 ) -> tuple[list[dict], dict]:
-    """Run the (delta, tau) grid, reusing one count table per delta.
+    """Run the (delta, tau) grid: the folty engine counts every delta in one
+    expansion, and each count table serves every tau.
 
     Returns (rows, meta). meta["count_runs"] has one entry per delta with its
-    counting-pass timings, showing that counting work is independent of the
-    number of thresholds.
+    counting-phase timings; the folty engine's shared expansion is charged to
+    the first delta's entry, so the entries sum to the counting time. A row's
+    elapsed_ms is its threshold time; the threshold state that no tau changes
+    is built on first use, so it is charged to the first row that needs it.
     """
     kind = validate_kind(kind)
     if not deltas or not taus:
@@ -229,15 +226,20 @@ def run_sweep(
     g = _load(path)
     static = build_static(g)
     ordering = degeneracy_order(static)
-    rows: list[dict] = []
+    deltas = sorted(set(deltas))
+    tables: list = []
     count_runs: list[dict] = []
-    for delta in sorted(set(deltas)):
+    for group in [deltas] if engine == "folty" else [[delta] for delta in deltas]:
         lap = _Laps()
-        totals = _run_counts(g, static, ordering, delta, engine, ceiling, lap)
-        count_runs.append({"delta_s": delta, **{f"{k}_ms": ms for k, ms in lap.ms.items()}})
+        tables += _count_tables(g, static, ordering, group, engine, ceiling, lap)
+        for delta in group:
+            count_runs.append({"delta_s": delta, **{f"{k}_ms": ms for k, ms in lap.ms.items()}})
+            lap.ms = dict.fromkeys(lap.ms, 0.0)  # a shared expansion is charged once
+    rows: list[dict] = []
+    for delta, table in zip(deltas, tables):
         for tau in sorted(set(taus)):
             t0 = time.perf_counter()
-            solset = _threshold(g, static, totals, kind, tau, tau2, universe)
+            solset = _threshold(g, static, table, kind, tau, tau2, universe)
             elapsed = _ms_since(t0)
             rows.append(
                 {

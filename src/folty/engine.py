@@ -25,12 +25,17 @@ slice the ordering's flat (a, b, c) arrays TRIANGLE_BLOCK triangles at a
 time into jobs, and jobs run in blocks of about BLOCK expanded entries, so
 temporaries stay small. Window checks compare t3 - t as an unsigned 64-bit
 difference, so timestamps at the int64 extremes and any delta are exact.
+
+The chains themselves do not depend on delta: only the final window check
+does. So one expansion serves every delta of a sweep (count_tables). The out
+side buckets each hit's window t3 - t by the sorted windows and takes a
+cumulative sum over them; the in side finds its chains once per block and
+builds the runs per window. A single delta is the one-window case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,21 +50,70 @@ TRIANGLE_BLOCK = 2048
 #: Expanded list entries per vectorized block (a block may exceed it by the
 #: size of its last list, since one list is never split).
 BLOCK = 8192
+#: Out-side hits collected (16 bytes each) before one bincount folds them
+#: into the count table, and the most table cells (m per window, 8 bytes
+#: each) one expansion fills: more windows than KEY_CAP // m run as separate
+#: expansions of at most that many.
+KEY_CAP = 1 << 22
 
 _SIGN = np.uint64(1 << 63)
 _I64_MIN = np.int64(-(2**63))
 
 
-@dataclass
 class CountTable:
-    """Per-edge closing-neighbor tallies for one delta."""
+    """Per-edge closing-neighbor tallies for one delta.
 
-    in_count: list[int]
-    out_count: list[int]
-    delta: int
+    in_array, out_array and totals_array are int64 arrays indexed by edge
+    id. in_count, out_count and totals() give the same as lists of Python
+    ints, built on first use.
+    """
+
+    __slots__ = ("in_array", "out_array", "totals_array", "delta", "_lists", "_pair_max")
+
+    def __init__(self, in_count: Sequence[int], out_count: Sequence[int], delta: int):
+        self.in_array = np.asarray(in_count, dtype=np.int64)
+        self.out_array = np.asarray(out_count, dtype=np.int64)
+        self.totals_array = self.in_array + self.out_array
+        self.delta = delta
+        self._lists: dict[str, list[int]] = {}
+        self._pair_max: np.ndarray | None = None
+
+    def __repr__(self) -> str:
+        return f"CountTable(in_count={self.in_count}, out_count={self.out_count}, delta={self.delta})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        return (
+            self.delta == other.delta
+            and np.array_equal(self.in_array, other.in_array)
+            and np.array_equal(self.out_array, other.out_array)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _list(self, name: str) -> list[int]:
+        if name not in self._lists:
+            self._lists[name] = getattr(self, name).tolist()
+        return self._lists[name]
+
+    @property
+    def in_count(self) -> list[int]:
+        return self._list("in_array")
+
+    @property
+    def out_count(self) -> list[int]:
+        return self._list("out_array")
 
     def totals(self) -> list[int]:
-        return [a + b for a, b in zip(self.in_count, self.out_count)]
+        return self._list("totals_array")
+
+    def pair_max(self, g: TemporalGraph) -> np.ndarray:
+        """The largest total over each directed pair's edges, in the pair
+        order of g, the graph this table counts; built on first use."""
+        if self._pair_max is None:
+            self._pair_max = g.pair_max(self.totals_array)
+        return self._pair_max
 
 
 def oriented_triangles(
@@ -77,13 +131,18 @@ def oriented_triangles(
         yield x, y, cs[lo:hi]
 
 
-def _window(g: TemporalGraph, delta: int) -> np.uint64:
-    """delta as uint64, clamped to the timestamp span: every larger window
-    closes the same triangles, and the span always fits in 64 bits."""
+def _window(g: TemporalGraph, delta: int) -> int:
+    """delta clamped to the timestamp span: every larger window closes the
+    same triangles, and the span always fits in 64 bits unsigned."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     span = int(g.t_distinct[-1]) - int(g.t_distinct[0]) if g.m else 0
-    return np.uint64(min(delta, span))
+    return min(delta, span)
+
+
+def _windows(g: TemporalGraph, deltas: Iterable[int]) -> np.ndarray:
+    """The distinct clamped windows of deltas, ascending, as uint64."""
+    return np.array(sorted({_window(g, d) for d in deltas}), dtype=np.uint64)
 
 
 def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
@@ -139,16 +198,29 @@ def out_pass(
     delta: int,
 ) -> np.ndarray:
     """out_count[e] for every edge, as an int64 array: closing neighbors on
-    the source's out side.
+    the source's out side. The one-window case of _out_counts."""
+    return _out_counts(g, ordering, _windows(g, [delta]))[0]
+
+
+def _out_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarray) -> np.ndarray:
+    """out_count for each of one or more ascending uint64 windows, as an
+    int64 array of shape (len(windows), m).
 
     Each triangle (a, b, c) gives four (L1, L2, L3) jobs: pair {a, b} with
     witness c as (E_ab, E_ac, E_bc) and (E_ba, E_bc, E_ac), and pair {a, c}
     with witness b as (E_ac, E_ab, E_cb) and (E_ca, E_cb, E_ab). An L1 edge at
     t is credited iff the first L2 entry at or after t, then the first L3
-    entry at or after that, exist and the latter is within delta of t.
+    entry at or after that, exist and the latter is within the window of t.
+    The chain does not depend on the window, so each hit is collected once
+    with its span t3 - t and counted under the first window that admits it
+    (_fold); a cumulative sum over the windows then credits it to that
+    window and every larger one.
     """
-    d = _window(g, delta)
-    out_count = np.zeros(g.m, dtype=np.int64)
+    nw, m = len(windows), g.m
+    table = np.zeros(nw * m, dtype=np.int64)
+    spans: list[np.ndarray] = []
+    eids: list[np.ndarray] = []
+    pending = 0
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
     for a, b, c in _triangle_blocks(ordering):
@@ -169,9 +241,32 @@ def out_pass(
             k = np.searchsorted(comp, comp[j] + (q3 - q2) * r)
             hit = k < start[q3 + 1]
             i, k = i[hit], k[hit]
-            hit = ts[k].view(np.uint64) - ts[i].view(np.uint64) <= d
-            np.add.at(out_count, g.pair_eid[i[hit]], 1)
-    return out_count
+            span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
+            hit = span <= windows[-1]
+            spans.append(span[hit])
+            eids.append(g.pair_eid[i[hit]])
+            pending += len(spans[-1])
+            if pending >= KEY_CAP:
+                _fold(table, windows, spans, eids)
+                pending = 0
+    _fold(table, windows, spans, eids)
+    counts = table.reshape(nw, m)
+    for row in range(1, nw):  # row-wise: a cumsum along axis 0 runs m short loops
+        counts[row] += counts[row - 1]
+    return counts
+
+
+def _fold(table: np.ndarray, windows: np.ndarray, spans: list[np.ndarray], eids: list[np.ndarray]) -> None:
+    """Count the collected hits into the flat (window, edge) table, each at
+    the first window that admits its span (no span exceeds the last), with
+    one bincount; then clear them."""
+    if eids:
+        key = np.concatenate(eids)
+        if len(windows) > 1:
+            key += np.searchsorted(windows[:-1], np.concatenate(spans)) * (len(table) // len(windows))
+        table += np.bincount(key, minlength=len(table))
+        spans.clear()
+        eids.clear()
 
 
 def in_pass(
@@ -181,25 +276,32 @@ def in_pass(
     delta: int,
 ) -> np.ndarray:
     """in_count[e] for every edge, as an int64 array: closing neighbors on
-    the source's in side.
+    the source's in side. The one-window case of _in_counts."""
+    return _in_counts(g, ordering, _windows(g, [delta]))[0]
+
+
+def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarray) -> np.ndarray:
+    """in_count for each of one or more ascending uint64 windows, as an
+    int64 array of shape (len(windows), m).
 
     Each triangle (a, b, c) gives the target pair (b, c) the witness a, with
     L2 = E_ba and L3 = E_ca, and the target (c, b) the same with the lists
     swapped. Every L2 entry f whose first L3 entry at or after t(f) lies
-    within delta contributes the interval [t3 - delta, t(f)]: exactly the t
-    with t <= t(f) <= t3 <= t + delta. One witness's intervals ascend in both
+    within the window d contributes the interval [t3 - d, t(f)]: exactly the
+    t with t <= t(f) <= t3 <= t + d. One witness's intervals ascend in both
     ends, so one pass merges them into disjoint runs, and the target edge at
     t gains #(runs with lo <= t) - #(runs with hi < t), which is the number
     of witnesses whose runs contain t.
 
     Triangles and jobs are grouped by target pair, so a target's edges are
-    looked up once per block its jobs fall in. Runs live in rank space: lo is
-    the number of distinct timestamps below t3 - delta, hi the rank of t(f),
-    both offset by target pair id * R as in pair_comp, so the targets of a
-    block share one pair of sorted arrays.
+    looked up once per block its jobs fall in. The chains (f, t3) and the
+    target lookups do not depend on the window and are found once per block;
+    the runs are built per window. Runs live in rank space: lo is the number
+    of distinct timestamps below t3 - d, hi the rank of t(f), both offset by
+    target pair id * R as in pair_comp, so the targets of a block share one
+    pair of sorted arrays.
     """
-    d = _window(g, delta)
-    in_count = np.zeros(g.m, dtype=np.int64)
+    in_count = np.zeros((len(windows), g.m), dtype=np.int64)
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
     for a, b, c in _triangle_blocks(ordering, by_pair=True):
@@ -216,23 +318,70 @@ def in_pass(
             k = np.searchsorted(comp, comp[i] + (q3 - q2) * r)
             hit = k < start[q3 + 1]
             i, k, job, q2 = i[hit], k[hit], job[hit], q2[hit]
-            hit = ts[k].view(np.uint64) - ts[i].view(np.uint64) <= d
-            i, k, job, q2 = i[hit], k[hit], job[hit], q2[hit]
+            span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
+            hit = span <= windows[-1]
+            i, t3, job, q2, span = i[hit], ts[k[hit]], job[hit], q2[hit], span[hit]
             if not len(i):
                 continue
-            lo = np.searchsorted(g.t_distinct, _minus(ts[k], d))
             hi = comp[i] - q2 * r
-            first = np.ones(len(i), dtype=bool)
-            first[1:] = (job[1:] != job[:-1]) | (lo[1:] > hi[:-1])
-            last = np.append(first[1:], True)
             target = pt[block][job]
-            base = target * r
-            lo_keys = np.sort((base + lo)[first])
-            hi_keys = np.sort((base + hi)[last])
+            # Targets ascend with their jobs: look each up once.
             e, _ = _entries(g, target[np.diff(target, prepend=-1) != 0])
-            q = comp[e]
-            in_count[g.pair_eid[e]] += np.searchsorted(lo_keys, q, "right") - np.searchsorted(hi_keys, q)
+            q, rows = comp[e], g.pair_eid[e]
+            base = target * r
+            # Largest window first: each smaller one keeps a subset.
+            for j in range(len(windows) - 1, -1, -1):
+                lo = np.searchsorted(g.t_distinct, _minus(t3, windows[j]))
+                first = np.ones(len(job), dtype=bool)
+                first[1:] = (job[1:] != job[:-1]) | (lo[1:] > hi[:-1])
+                last = np.append(first[1:], True)
+                lo_keys = np.sort((base + lo)[first])
+                hi_keys = np.sort((base + hi)[last])
+                in_count[j, rows] += np.searchsorted(lo_keys, q, "right") - np.searchsorted(hi_keys, q)
+                if j:
+                    sel = span <= windows[j - 1]
+                    t3, job, span, hi, base = t3[sel], job[sel], span[sel], hi[sel], base[sel]
+                    if not len(job):
+                        break
     return in_count
+
+
+def count_tables(
+    g: TemporalGraph,
+    deltas: Sequence[int],
+    static: StaticGraph | None = None,
+    ordering: DegeneracyOrdering | None = None,
+    lap: Callable[[str], object] | None = None,
+) -> list[CountTable]:
+    """One count table per delta, in the order given, from one expansion.
+
+    Deltas may repeat and come in any order; deltas that clamp to the same
+    window share one table's arrays. When m times the number of windows
+    exceeds KEY_CAP, the windows run in groups, one expansion per group.
+    `lap`, if given, is called with "triangles", "out_pass" and "in_pass"
+    as each phase ends (the last two once per group).
+    """
+    deltas = list(deltas)
+    windows = _windows(g, deltas)
+    if static is None:
+        static = build_static(g)
+    if ordering is None:
+        ordering = degeneracy_order(static)
+    lap = lap or (lambda phase: None)
+    ordering.triangles()
+    ordering.pair_order()
+    lap("triangles")
+    group = max(1, KEY_CAP // max(g.m, 1))
+    outs: list[np.ndarray] = []
+    ins: list[np.ndarray] = []
+    for lo in range(0, len(windows), group):
+        outs.extend(_out_counts(g, ordering, windows[lo : lo + group]))
+        lap("out_pass")
+        ins.extend(_in_counts(g, ordering, windows[lo : lo + group]))
+        lap("in_pass")
+    column = {int(w): j for j, w in enumerate(windows)}
+    picks = [column[_window(g, delta)] for delta in deltas]
+    return [CountTable(ins[j], outs[j], delta) for delta, j in zip(deltas, picks)]
 
 
 def compute_counts(
@@ -242,19 +391,12 @@ def compute_counts(
     ordering: DegeneracyOrdering | None = None,
     threads: int = 1,
 ) -> CountTable:
-    """Run both passes and return the per-edge count table.
+    """Run both passes and return the per-edge count table: the one-delta
+    case of count_tables.
 
     `threads` is accepted for interface stability; execution is
     single-threaded, so results are identical for every value.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if static is None:
-        static = build_static(g)
-    if ordering is None:
-        ordering = degeneracy_order(static)
-    out_count = out_pass(g, static, ordering, delta)
-    in_count = in_pass(g, static, ordering, delta)
-    return CountTable(in_count=in_count.tolist(), out_count=out_count.tolist(), delta=delta)
+    return count_tables(g, [delta], static, ordering)[0]

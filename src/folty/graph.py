@@ -102,6 +102,7 @@ class TemporalGraph:
         "pair_comp",
         "_pairs",
         "_lists",
+        "_common",
     )
 
     def __init__(
@@ -121,6 +122,7 @@ class TemporalGraph:
         self.self_loops_dropped = self_loops_dropped
         self._pairs: Mapping[tuple[int, int], tuple[list[int], list[int]]] | None = None
         self._lists: tuple[list[int], list[int], list[int]] | None = None
+        self._common: tuple[StaticGraph, np.ndarray] | None = None
 
         if np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be non-decreasing in eid order")
@@ -193,6 +195,20 @@ class TemporalGraph:
         if self._lists is None:
             self._lists = (self.src.tolist(), self.dst.tolist(), self.ts.tolist())
         return self._lists
+
+    def pair_max(self, values: np.ndarray) -> np.ndarray:
+        """The largest of values[e] over each directed pair's edges e, in
+        pair order."""
+        if not len(self.pair_key):
+            return np.zeros(0, dtype=values.dtype)
+        return np.maximum.reduceat(values[self.pair_eid], self.pair_start[:-1])
+
+    def pair_common(self, static: "StaticGraph") -> np.ndarray:
+        """|N(x) & N(y)| in `static`, this graph's projection, for each
+        directed pair (x, y), in pair order; built on first use."""
+        if self._common is None or self._common[0] is not static:
+            self._common = (static, static.common_of(*np.divmod(self.pair_key, self.n)))
+        return self._common[1]
 
     def edge(self, eid: int) -> TemporalEdge:
         src, dst, ts = self.edge_lists

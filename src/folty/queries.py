@@ -14,11 +14,18 @@ Thresholds are array masks over the graph's CSR pair layout. One universe
 size per directed pair (x, y), degree[y] or the common count of static edge
 {x, y}, gives each edge the least count max(1, ceil(tau * size)) it needs to
 certify; the least counts come from a table built in Python integers, so any
-Fraction tau stays exact. eea lists the edges of that certificate mask. eae
-and eaa share one vertex path: a logical_or.reduceat per pair, then a
-bincount of pair sources. eae passes the mask totals >= 1, and eaa is eae
-over the tau2 certificate mask. An edge only certifies if it has at least one
-closing neighbor, so empty universes never satisfy the quantifier vacuously.
+Fraction tau stays exact. eea lists the edges of that certificate mask. An
+edge only certifies if it has at least one closing neighbor, so empty
+universes never satisfy the quantifier vacuously.
+
+eae and eaa share one vertex path, built from state that no tau changes: the
+common-neighbor universe sizes, once per graph (TemporalGraph.pair_common),
+and each pair's largest total, once per count table (CountTable.pair_max).
+Since a pair's edges share one universe size, some edge of the pair
+certifies iff its largest total does. So a cell costs one least-count table,
+one compare over pairs, one bincount of the hit pairs' sources and one
+compare over vertices. eae takes the pairs whose largest total is >= 1, and
+eaa those that reach the tau2 least count.
 """
 
 from __future__ import annotations
@@ -132,7 +139,15 @@ def _check_tau(tau: Fraction) -> None:
 
 
 def _totals_array(counts: CountTable | Sequence[int]) -> np.ndarray:
-    return np.asarray(counts.totals() if isinstance(counts, CountTable) else counts, dtype=np.int64)
+    if isinstance(counts, CountTable):
+        return counts.totals_array
+    return np.asarray(counts, dtype=np.int64)
+
+
+def _pair_max(g: TemporalGraph, counts: CountTable | Sequence[int]) -> np.ndarray:
+    if isinstance(counts, CountTable):
+        return counts.pair_max(g)
+    return g.pair_max(_totals_array(counts))
 
 
 def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
@@ -144,25 +159,12 @@ def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
     return np.maximum(np.array(table, dtype=np.int64), floor)[sizes]
 
 
-def _certified(
-    g: TemporalGraph,
-    static: StaticGraph,
-    totals: np.ndarray,
-    tau: Fraction,
-    universe: Universe,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The certificate mask over edge ids at level tau, and each edge's
-    universe size. Sizes are found once per directed pair (x, y): degree[y],
-    or the common count of static edge {x, y}."""
-    _check_tau(tau)
-    x, y = np.divmod(g.pair_key, g.n)
+def _pair_sizes(g: TemporalGraph, static: StaticGraph, universe: Universe) -> np.ndarray:
+    """Universe size of each directed pair (x, y): degree[y], or the common
+    count of static edge {x, y}."""
     if universe is Universe.DST:
-        pair_size = np.diff(static.adj_start)[y]
-    else:
-        pair_size = static.common_of(x, y)
-    size = np.empty(g.m, dtype=np.int64)
-    size[g.pair_eid] = np.repeat(pair_size, np.diff(g.pair_start))
-    return totals >= _least(tau, size, 1), size
+        return np.diff(static.adj_start)[g.pair_key % g.n]
+    return g.pair_common(static)
 
 
 def eval_eea(
@@ -173,9 +175,11 @@ def eval_eea(
     universe: Universe = Universe.DST,
 ) -> SolutionSet:
     """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|."""
+    _check_tau(tau)
     totals = _totals_array(counts)
-    mask, size = _certified(g, static, totals, tau, universe)
-    eids = np.flatnonzero(mask)
+    size = np.empty(g.m, dtype=np.int64)
+    size[g.pair_eid] = np.repeat(_pair_sizes(g, static, universe), np.diff(g.pair_start))
+    eids = np.flatnonzero(totals >= _least(tau, size, 1))
     orig = g.orig
     certs = [
         Certificate(orig[u], orig[v], t, c, s)
@@ -187,16 +191,13 @@ def eval_eea(
 def _vertex_query(
     g: TemporalGraph,
     static: StaticGraph,
-    qualifies: np.ndarray,
+    hit: np.ndarray,
     tau: Fraction,
     kind: str,
 ) -> SolutionSet:
-    """Vertices u with >= tau * |N(u)| neighbors v such that some edge
-    u -> v qualifies (qualifies is a mask over edge ids)."""
-    satisfied = np.zeros(g.n, dtype=np.int64)
-    if len(g.pair_key):
-        hit = np.logical_or.reduceat(qualifies[g.pair_eid], g.pair_start[:-1])
-        satisfied = np.bincount(g.pair_key[hit] // g.n, minlength=g.n)
+    """Vertices u with >= tau * |N(u)| neighbors v such that the directed
+    pair (u, v) qualifies (hit is a mask over pair ids)."""
+    satisfied = np.bincount(g.pair_key[hit] // g.n, minlength=g.n)
     degree = np.diff(static.adj_start)
     vertices = np.flatnonzero(satisfied >= _least(tau, degree, 0))
     orig = g.orig
@@ -216,7 +217,7 @@ def eval_eae(
     """Vertices u with >= tau * |N(u)| neighbors v reachable by an edge
     u -> v that closes at least one triangle."""
     _check_tau(tau)
-    return _vertex_query(g, static, _totals_array(counts) >= 1, tau, "eae")
+    return _vertex_query(g, static, _pair_max(g, counts) >= 1, tau, "eae")
 
 
 def eval_eaa(
@@ -228,10 +229,12 @@ def eval_eaa(
     universe: Universe = Universe.DST,
 ) -> SolutionSet:
     """Vertices u with >= tau1 * |N(u)| neighbors v that carry some
-    level-tau2 certificate edge u -> v: eae over the tau2 certificate mask."""
+    level-tau2 certificate edge u -> v: eae over the pairs whose largest
+    total reaches the tau2 least count."""
     _check_tau(tau1)
-    mask, _ = _certified(g, static, _totals_array(counts), tau2, universe)
-    return _vertex_query(g, static, mask, tau1, "eaa")
+    _check_tau(tau2)
+    hit = _pair_max(g, counts) >= _least(tau2, _pair_sizes(g, static, universe), 1)
+    return _vertex_query(g, static, hit, tau1, "eaa")
 
 
 def practical_counts(g: TemporalGraph, static: StaticGraph, delta: int) -> list[int]:

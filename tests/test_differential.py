@@ -7,11 +7,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import folty.engine
 from folty import cli
-from folty.engine import compute_counts, oriented_triangles
+from folty.engine import CountTable, compute_counts, count_tables, oriented_triangles
 from folty.graph import TemporalGraph, build_static, degeneracy_order, parse_edge_list
 from folty.oracle import oracle_counts, oracle_solutions
 from folty.queries import (
@@ -231,3 +232,102 @@ def test_eaa_rejects_tau2_outside_unit_interval():
         for universe in Universe:
             with pytest.raises(ParameterError):
                 eval_eaa(g, static, counts, Fraction(1, 2), bad, universe)
+
+
+# -- one expansion for every delta ---------------------------------------------
+
+SWEEP_DELTAS = [5, 0, 2**62, 5, 1, I64_MAX, 0, 10**30, 20]
+
+
+def assert_tables_agree(g, deltas=SWEEP_DELTAS):
+    """count_tables gives, per delta and in the order asked, the tables of
+    separate compute_counts runs and the oracle's totals."""
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    tables = count_tables(g, deltas, static, ordering)
+    assert [t.delta for t in tables] == list(deltas)
+    for delta, table in zip(deltas, tables):
+        single = compute_counts(g, delta, static, ordering)
+        assert table.in_count == single.in_count, delta
+        assert table.out_count == single.out_count, delta
+        assert table.totals() == oracle_counts(g, delta, static).count, delta
+        assert table.totals_array.dtype == table.in_array.dtype == np.int64
+
+
+def test_count_tables_unsorted_and_duplicate_deltas():
+    rng = random.Random(0xD1F8)
+    for _ in range(15):
+        n = rng.randint(3, 12)
+        g = TemporalGraph.from_edges(random_edges(rng, n, rng.randint(3, 120), list(range(40))))
+        assert_tables_agree(g)
+
+
+def test_count_tables_int64_extreme_timestamps():
+    rng = random.Random(0xD1F9)
+    edge_ts = [I64_MIN, I64_MIN + 1, I64_MIN + 2**62, -1, 0, 1, I64_MAX - 2**62, I64_MAX - 1, I64_MAX]
+    for _ in range(25):
+        g = TemporalGraph.from_edges(random_edges(rng, rng.randint(3, 8), rng.randint(3, 60), edge_ts))
+        assert_tables_agree(g, SWEEP_DELTAS + [2**64 - 2, 2**64 - 1, 2**64])
+    g = TemporalGraph.from_edges([(1, 2, I64_MIN), (1, 3, 0), (2, 3, I64_MAX)])
+    tables = count_tables(g, [2**64 - 1, 0, 2**64 - 2])
+    assert [t.totals() for t in tables] == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def test_count_tables_empty_and_triangle_free():
+    cycle = [(i, (i + 1) % 6, t) for i in range(6) for t in (i, i + 3)]
+    for g in (TemporalGraph.from_edges([]), parse_edge_list("4 4 1\n"), TemporalGraph.from_edges(cycle)):
+        assert_tables_agree(g)
+        assert not any(t.totals_array.any() for t in count_tables(g, SWEEP_DELTAS))
+    assert count_tables(TemporalGraph.from_edges(cycle), []) == []
+
+
+def test_count_tables_many_windows():
+    rng = random.Random(0xD1FC)
+    for _ in range(6):
+        g = TemporalGraph.from_edges(random_edges(rng, rng.randint(4, 10), rng.randint(20, 120), list(range(40))))
+        assert_tables_agree(g, list(range(40, -1, -1)) + [2**62])
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_count_tables_small_blocks(monkeypatch, block):
+    monkeypatch.setattr(folty.engine, "BLOCK", block)
+    monkeypatch.setattr(folty.engine, "TRIANGLE_BLOCK", block)
+    rng = random.Random(0xD1FA + block)
+    for _ in range(10):
+        n = rng.randint(3, 12)
+        g = TemporalGraph.from_edges(random_edges(rng, n, rng.randint(3, 120), list(range(30))))
+        assert_tables_agree(g)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_count_tables_in_window_groups(monkeypatch, cap):
+    """Past KEY_CAP keys the out side folds its keys into the table early,
+    and past KEY_CAP table cells the windows run in groups of KEY_CAP // m,
+    one expansion each; the tables do not change."""
+    rng = random.Random(0xD1FB)
+    clique = [(u, v, rng.randint(0, 200)) for u in range(6) for v in range(6) if u != v for _ in range(3)]
+    g = TemporalGraph.from_edges(clique)
+    monkeypatch.setattr(folty.engine, "KEY_CAP", cap * g.m)
+    span = int(g.t_distinct[-1] - g.t_distinct[0])
+    windows = {min(d, span) for d in SWEEP_DELTAS}
+    phases = []
+    count_tables(g, SWEEP_DELTAS, lap=phases.append)
+    groups = -(-len(windows) // cap)
+    assert phases == ["triangles"] + ["out_pass", "in_pass"] * groups
+    assert_tables_agree(g)
+    monkeypatch.setattr(folty.engine, "KEY_CAP", cap)
+    assert_tables_agree(g)
+    folds = []
+    fold = folty.engine._fold
+    monkeypatch.setattr(folty.engine, "_fold", lambda *args: folds.append(1) or fold(*args))
+    count_tables(g, SWEEP_DELTAS)
+    assert len(folds) > len(windows)  # not only the last fold of each expansion
+
+
+def test_count_table_arrays_and_lazy_lists():
+    table = CountTable([1, 0], [2, 3], 5)
+    assert table.totals() == [3, 3] and table.totals() is table.totals()
+    assert table.totals_array.tolist() == [3, 3]
+    assert (table.in_count, table.out_count, table.delta) == ([1, 0], [2, 3], 5)
+    assert table == CountTable(np.array([1, 0]), np.array([2, 3]), 5)
+    assert table != CountTable([1, 0], [2, 3], 6)
