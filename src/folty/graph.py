@@ -6,14 +6,18 @@ ids as non-negative integers and timestamps as signed 64-bit integers
 parse time. Parallel edges, including exact duplicate lines, are kept as
 distinct edges.
 
-Vertex ids are remapped to dense [0, n) by ascending original id; original
-ids are kept for output. Edges are sorted by (timestamp, input order) and the
-position in that order is the edge id used by every per-edge array.
+Vertex ids are remapped to dense [0, n) by ascending original id, through a
+rank table when the ids are dense enough; original ids are kept for output.
+Edges are sorted by (timestamp, input order) and the position in that order
+is the edge id used by every per-edge array.
+
+The degeneracy order peels the static projection in level batches (core
+decomposition in the style of Batagelj and Zaversnik), and the orientation
+it induces keeps every out-degree <= alpha.
 """
 
 from __future__ import annotations
 
-import heapq
 import io
 from dataclasses import dataclass
 from itertools import chain
@@ -30,6 +34,14 @@ COMMON_BLOCK = 1 << 14
 
 #: Wedges (a, b, c) checked per vectorized block of DegeneracyOrdering.triangles.
 WEDGE_BLOCK = 1 << 14
+
+#: Peel batches of fewer vertices than this run in a Python loop, larger ones
+#: as array operations; both follow the same batch rule.
+PEEL_BATCH = 64
+
+#: Ids are ranked through an int32 table when max id + 1 is at most this
+#: many times 2m (and below 2**31), otherwise by sort and searchsorted.
+ID_TABLE_RATIO = 4
 
 #: Bytes per chunk of the array parse; a chunk runs on to the end of its
 #: last line, so no line is split between chunks.
@@ -177,17 +189,32 @@ class TemporalGraph:
     def _from_columns(
         cls, u: np.ndarray, v: np.ndarray, t: np.ndarray, dropped: int, labels: list[int] | None = None
     ) -> "TemporalGraph":
-        """Sort loop-free int64 edge columns by t (stable: input order breaks
-        ties), remap ids to dense by ascending id, construct. `labels`, if
-        given, are the original ids of the values 0..n-1 in u and v."""
-        order = np.argsort(t, kind="stable")
-        u, v = u[order], v[order]
-        ids = np.sort(np.concatenate((u, v)))
-        new = np.ones(len(ids), dtype=bool)
-        new[1:] = ids[1:] != ids[:-1]
-        ids = ids[new]
+        """Remap loop-free int64 edge columns to dense ids by ascending id
+        (through an int32 rank table when the ids are dense, see
+        ID_TABLE_RATIO; else by sort and searchsorted), sort them by t
+        (stable: input order breaks ties), construct. `labels`, if given, are
+        the original ids of the values 0..n-1 in u and v."""
+        m = len(t)
+        lo = min(int(u.min()), int(v.min())) if m else 0
+        span = max(int(u.max()), int(v.max())) + 1 if m else 0
+        if lo >= 0 and span <= ID_TABLE_RATIO * 2 * m and span < 2**31:
+            table = np.zeros(span, dtype=np.int32)
+            table[u] = 1
+            table[v] = 1
+            ids = np.flatnonzero(table)
+            table[ids] = np.arange(len(ids), dtype=np.int32)
+            u, v = table[u], table[v]
+        else:
+            ids = np.sort(np.concatenate((u, v)))
+            new = np.ones(len(ids), dtype=bool)
+            new[1:] = ids[1:] != ids[:-1]
+            ids = ids[new]
+            u, v = np.searchsorted(ids, u), np.searchsorted(ids, v)
+        order = _t_order(t)
+        if order is not None:
+            u, v, t = u[order], v[order], t[order]
         orig = ids.tolist() if labels is None else labels
-        return cls(np.searchsorted(ids, u), np.searchsorted(ids, v), t[order], orig, dropped)
+        return cls(u, v, t, orig, dropped)
 
     @property
     def edge_lists(self) -> tuple[list[int], list[int], list[int]]:
@@ -252,6 +279,12 @@ class TemporalGraph:
         j = np.minimum(np.searchsorted(keys, rev), len(keys) - 1)
         both = sizes + np.where(keys[j] == rev, sizes[j], 0)
         return int(both.max())
+
+
+def _t_order(t: np.ndarray) -> np.ndarray | None:
+    """The stable argsort of t, or None when t is already non-decreasing and
+    the argsort would be the identity."""
+    return np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
@@ -521,13 +554,14 @@ def build_static(g: TemporalGraph) -> StaticGraph:
 
 
 class DegeneracyOrdering:
-    """Min-degree peeling order and the orientation it induces.
+    """Level-batch peeling order and the orientation it induces.
 
     pi[u] is u's rank in the removal order (0 removed first); alpha is the
-    largest residual degree seen at any removal. The orientation points each
-    static edge from its lower-rank endpoint to the other, in CSR form: u's
-    out-neighbors are out_nbr[out_start[u]:out_start[u + 1]], ascending by
-    id; out_adj is the same as a list of lists, built on first use.
+    degeneracy, the largest residual degree seen at any removal. The
+    orientation points each static edge from its lower-rank endpoint to the
+    other, in CSR form: u's out-neighbors are
+    out_nbr[out_start[u]:out_start[u + 1]], ascending by id; out_adj is the
+    same as a list of lists, built on first use.
     """
 
     __slots__ = ("pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangles", "_pair_order")
@@ -590,43 +624,87 @@ class DegeneracyOrdering:
 
 
 def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
-    """Repeatedly remove the lowest-degree vertex, smallest id first on ties.
+    """Peel the vertices in level batches, ascending (residual degree, id)
+    within a batch.
 
-    Uses a lazy min-heap keyed by the int current degree * n + id, which
-    orders like (degree, id) since id < n, so it honors the id tie rule
-    exactly at O((n + m) log n) cost. The orientation is then one sort of
-    the static edge columns by tail * n + head.
+    From level k = 0, a batch is every alive vertex of residual degree <= k.
+    Removing it takes one degree from its alive neighbors per edge to it,
+    and the next batch is those of them now at degree <= k. An empty batch
+    raises k to the least alive degree; alpha is the last level. A vertex's
+    residual degree at removal is <= its level <= alpha, so every out-degree
+    of the orientation is <= alpha. This is core decomposition (Batagelj and
+    Zaversnik) one batch at a time, O(n * levels + m log m). Batches of
+    PEEL_BATCH vertices or more run as array operations, smaller ones in
+    _peel_loop; the order does not depend on which. The orientation is then
+    one sort of the static edge columns by tail * n + head.
     """
-    n = static.n
-    nbrs = static.adj_nbr.tolist()
-    bounds = static.adj_start.tolist()
-    heappop, heappush = heapq.heappop, heapq.heappush
-    deg = list(static.degree)
-    heap = [d * n + v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    pi = [0] * n
-    order: list[int] = []
-    alpha = 0
-    for rank in range(n):
-        while True:
-            d, v = divmod(heappop(heap), n)
-            if not removed[v] and d == deg[v]:
+    n, start, nbr = static.n, static.adj_start, static.adj_nbr
+    size = np.diff(start)
+    deg = size.copy()  # residual degrees
+    alive = np.ones(n, dtype=bool)
+    views = None
+    parts = [np.zeros(0, dtype=np.int64)]
+    k = 0
+    left = np.arange(n, dtype=np.int64)  # holds every alive vertex, ascending
+    batch = np.flatnonzero(deg == 0)
+    while True:
+        if not len(batch):
+            left = left[alive[left]]
+            if not len(left):
                 break
-        removed[v] = True
-        pi[v] = rank
-        order.append(v)
-        if d > alpha:
-            alpha = d
-        for u in nbrs[bounds[v] : bounds[v + 1]]:
-            if not removed[u]:
-                deg[u] -= 1
-                heappush(heap, deg[u] * n + u)
+            k = int(deg[left].min())
+            batch = left[deg[left] == k]
+        if len(batch) < PEEL_BATCH:
+            if views is None:
+                views = tuple(map(memoryview, (nbr, start, deg, alive)))
+            removed, batch = _peel_loop(batch.tolist(), k, n, *views)
+            parts.append(np.array(removed, dtype=np.int64))
+            continue
+        batch = batch[np.argsort(deg[batch], kind="stable")]
+        parts.append(batch)
+        alive[batch] = False
+        lens = size[batch]
+        ends = np.cumsum(lens)
+        hit = nbr[np.arange(ends[-1]) + np.repeat(start[batch] + lens - ends, lens)]
+        hit = np.sort(hit[alive[hit]])
+        first = np.flatnonzero(np.diff(hit, prepend=-1))
+        touched = hit[first]
+        deg[touched] -= np.diff(first, append=len(hit))
+        batch = touched[deg[touched] <= k]
+    order = np.concatenate(parts)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
     u, v = static.edge_u, static.edge_v
-    ranks = np.array(pi, dtype=np.int64)
     up = ranks[u] < ranks[v]
     tail, head = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
-    return DegeneracyOrdering(pi, order, alpha, np.searchsorted(tail, np.arange(n + 1)), head)
+    return DegeneracyOrdering(
+        ranks.tolist(), order.tolist(), k, np.searchsorted(tail, np.arange(n + 1)), head
+    )
+
+
+def _peel_loop(
+    batch: list[int], k: int, n: int, nbr: memoryview, start: memoryview, deg: memoryview, alive: memoryview
+) -> tuple[list[int], np.ndarray]:
+    """Level-k batches of degeneracy_order's rule while they are smaller than
+    PEEL_BATCH, one vertex and one edge at a time over memoryviews of its
+    arrays. Returns the removed vertices in order and the next batch,
+    ascending by id."""
+    removed: list[int] = []
+    while batch and len(batch) < PEEL_BATCH:
+        batch.sort(key=lambda x: deg[x] * n + x)
+        for x in batch:
+            alive[x] = False
+        removed += batch
+        touched = set()
+        for x in batch:
+            for y in nbr[start[x] : start[x + 1]]:
+                if alive[y]:
+                    d = deg[y] - 1
+                    deg[y] = d
+                    if d <= k:
+                        touched.add(y)
+        batch = sorted(touched)
+    return removed, np.array(batch, dtype=np.int64)
 
 
 @dataclass

@@ -13,8 +13,9 @@ Three query kinds share one counting core:
 Thresholds are array masks over the graph's CSR pair layout. One universe
 size per directed pair (x, y), degree[y] or the common count of static edge
 {x, y}, gives each edge the least count max(1, ceil(tau * size)) it needs to
-certify; the least counts come from a table built in Python integers, so any
-Fraction tau stays exact. eea lists the edges of that certificate mask. An
+certify; the least counts are int64 array arithmetic when tau's numerator
+times the largest size and its denominator fit int64, and come from a table
+built in Python integers otherwise, so any Fraction tau stays exact. eea lists the edges of that certificate mask. An
 edge only certifies if it has at least one closing neighbor, so empty
 universes never satisfy the quantifier vacuously.
 
@@ -41,6 +42,8 @@ import numpy as np
 from .engine import CountTable
 from .graph import StaticGraph, TemporalGraph
 from .scans import find_exceeding_entry_ls
+
+_I64_MAX = 2**63 - 1
 
 
 class ParameterError(ValueError):
@@ -151,11 +154,15 @@ def _pair_max(g: TemporalGraph, counts: CountTable | Sequence[int]) -> np.ndarra
 
 
 def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
-    """Per size s, the least integer c >= floor with c >= tau * s. The
-    table runs over 0..max(sizes) in Python integers, so any Fraction stays
-    exact and nothing overflows int64."""
+    """Per size s, the least integer c >= floor with c >= tau * s. When
+    p * max(sizes) and q fit int64 (tau = p / q), ceil(p * s / q) is taken
+    on the array; otherwise from a table over 0..max(sizes) in Python
+    integers. Either way any Fraction stays exact."""
     p, q = tau.numerator, tau.denominator
-    table = [-(-p * s // q) for s in range(int(sizes.max(initial=0)) + 1)]
+    top = int(sizes.max(initial=0))
+    if p * top <= _I64_MAX and q <= _I64_MAX:
+        return np.maximum(-(-p * sizes.astype(np.int64, copy=False) // q), floor)
+    table = [-(-p * s // q) for s in range(top + 1)]
     return np.maximum(np.array(table, dtype=np.int64), floor)[sizes]
 
 

@@ -610,3 +610,165 @@ class TestStats:
     def test_sigma_max_counts_both_directions(self):
         g = TemporalGraph.from_edges([(1, 2, 1), (2, 1, 2), (2, 1, 3), (3, 4, 1)])
         assert g.sigma_max() == 3
+
+
+def heap_peel_alpha(s):
+    """alpha of the one-vertex-at-a-time min-degree peel (lazy heap), the
+    rule the level batches replaced."""
+    import heapq
+
+    deg = list(s.degree)
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * s.n
+    alpha = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        alpha = max(alpha, d)
+        for u in s.adj[v]:
+            if not removed[u]:
+                deg[u] -= 1
+                heapq.heappush(heap, (deg[u], u))
+    return alpha
+
+
+def level_batches(s):
+    """The peel's batches, replayed from the rule with sets: (level, batch
+    as removed, each vertex's residual degree when its batch formed)."""
+    alive = set(range(s.n))
+    deg = list(s.degree)
+    k = 0
+    batch = {v for v in alive if deg[v] <= k}
+    out = []
+    while alive:
+        if not batch:
+            k = min(deg[v] for v in alive)
+            batch = {v for v in alive if deg[v] <= k}
+        ordered = sorted(batch, key=lambda v: (deg[v], v))
+        out.append((k, ordered, [deg[v] for v in ordered]))
+        alive -= batch
+        touched = set()
+        for v in ordered:
+            for u in s.adj[v]:
+                if u in alive:
+                    deg[u] -= 1
+                    touched.add(u)
+        batch = {u for u in touched if deg[u] <= k}
+    return out
+
+
+def peel_shapes():
+    yield static_from_edges(0, [])
+    yield static_from_edges(1, [])
+    yield static_from_edges(300, [(i, i + 1) for i in range(299)])  # path
+    yield static_from_edges(200, [(0, leaf) for leaf in range(1, 200)])  # star
+    yield static_from_edges(80, [(u, v) for u in range(80) for v in range(u + 1, 80)])  # K80
+    rng = random.Random(71)
+    yield static_from_edges(500, [(rng.randrange(i), i) for i in range(1, 500) if i % 50])  # forest
+    yield static_from_edges(400, [(r * 20 + c, r * 20 + c + 1) for r in range(20) for c in range(19)]
+                            + [(r * 20 + c, r * 20 + c + 20) for r in range(19) for c in range(20)])  # grid
+    yield from static_corpus(72)
+
+
+class TestLevelPeel:
+    """The level-batch rule, replayed, and its independence of PEEL_BATCH."""
+
+    def test_order_replays_level_batches(self):
+        for s in peel_shapes():
+            o = degeneracy_order(s)
+            batches = level_batches(s)
+            assert o.order == [v for _, batch, _ in batches for v in batch]
+            levels = [k for k, _, _ in batches]
+            assert levels == sorted(levels)
+            for k, batch, degs in batches:
+                assert all(d <= k for d in degs)
+                assert list(zip(degs, batch)) == sorted(zip(degs, batch))
+            assert o.alpha == (levels[-1] if levels else 0)
+            assert all(type(v) is int for v in o.order + o.pi)
+
+    def test_alpha_matches_heap_peel(self):
+        for s in peel_shapes():
+            o = degeneracy_order(s)
+            assert o.alpha == heap_peel_alpha(s)
+            assert int(np.diff(o.out_start).max(initial=0)) == o.alpha
+
+    def test_named_shapes(self):
+        path, star, clique = list(peel_shapes())[2:5]
+        assert degeneracy_order(path).alpha == 1
+        assert degeneracy_order(star).alpha == 1
+        assert degeneracy_order(star).order[-1] == 0
+        assert degeneracy_order(clique).alpha == 79
+        assert degeneracy_order(clique).order == list(range(80))
+
+    @pytest.mark.parametrize("batch", [1, 2, 10**9])
+    def test_same_order_in_loop_and_arrays(self, monkeypatch, batch):
+        shapes = list(peel_shapes())
+        want = [degeneracy_order(s) for s in shapes]
+        monkeypatch.setattr(folty.graph, "PEEL_BATCH", batch)
+        for s, w in zip(shapes, want):
+            o = degeneracy_order(s)
+            assert (o.pi, o.order, o.alpha) == (w.pi, w.order, w.alpha)
+            assert o.out_start.tolist() == w.out_start.tolist()
+            assert o.out_nbr.tolist() == w.out_nbr.tolist()
+
+
+def remap_columns():
+    """(u, v, t) int64 columns of loop-free edges, and labels for the ids
+    beyond int64."""
+    rng = np.random.default_rng(73)
+    yield np.array([3, 0, 5, 1]), np.array([0, 2, 1, 4]), np.array([5, 1, 1, 0]), None
+    u = rng.integers(0, 50, 400)
+    yield u, (u + rng.integers(1, 50, 400)) % 50, rng.integers(-3, 3, 400), None  # dense
+    u = rng.integers(0, 2**40, 300)
+    yield u, u + rng.integers(1, 2**20, 300), rng.integers(0, 9, 300), None  # spread
+    yield np.array([0, 2**63 - 1, 7]), np.array([2**63 - 1, 0, 0]), np.array([2, 1, 2]), None
+    g = TemporalGraph.from_edges([(2**64 + 9, 0, 3), (5, 2**70, 1), (0, 5, 1)])
+    yield g.src, g.dst, g.ts, g.orig  # ranks of Python-int labels
+    empty = np.zeros(0, dtype=np.int64)
+    yield empty, empty, empty, None
+
+
+class TestIdRemap:
+    """The rank table and the sort + searchsorted remap agree."""
+
+    def build(self, monkeypatch, ratio, columns):
+        monkeypatch.setattr(folty.graph, "ID_TABLE_RATIO", ratio)
+        u, v, t, labels = columns
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy:
+            g = TemporalGraph._from_columns(u.astype(np.int64), v.astype(np.int64), t.astype(np.int64), 0, labels)
+        return g, spy.call_count
+
+    def test_table_and_searchsorted_agree(self, monkeypatch):
+        for columns in remap_columns():
+            table, _ = self.build(monkeypatch, 10**9, columns)
+            search, calls = self.build(monkeypatch, 0, columns)
+            assert calls == 2 or not len(columns[2])
+            assert table.orig == search.orig
+            for name in ("src", "dst", "ts"):
+                assert getattr(table, name).tolist() == getattr(search, name).tolist()
+                assert getattr(table, name).dtype == np.int64
+            ids = columns[3] or sorted(set(columns[0].tolist()) | set(columns[1].tolist()))
+            assert table.orig == ids
+
+    def test_dense_ids_use_the_table(self, monkeypatch):
+        columns = list(remap_columns())[1]
+        _, calls = self.build(monkeypatch, folty.graph.ID_TABLE_RATIO, columns)
+        assert calls == 0
+        _, calls = self.build(monkeypatch, folty.graph.ID_TABLE_RATIO, list(remap_columns())[2])
+        assert calls == 2
+
+    def test_sorted_input_skips_the_argsort_exactly(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        u = rng.integers(0, 30, 500)
+        v = (u + rng.integers(1, 30, 500)) % 30
+        t = np.sort(rng.integers(0, 20, 500))
+        assert folty.graph._t_order(t) is None
+        skipped = TemporalGraph._from_columns(u, v, t, 0)
+        monkeypatch.setattr(folty.graph, "_t_order", lambda t: np.argsort(t, kind="stable"))
+        forced = TemporalGraph._from_columns(u, v, t, 0)
+        assert skipped.orig == forced.orig
+        for name in ("src", "dst", "ts"):
+            assert getattr(skipped, name).tolist() == getattr(forced, name).tolist()

@@ -1,13 +1,17 @@
 """Threshold evaluation, reductions, and the practical baseline."""
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import random_temporal_graph
 from folty.engine import compute_counts
 from folty.graph import TemporalGraph, build_static
+from folty import queries
 from folty.oracle import oracle_solutions
 from folty.queries import (
     ParameterError,
@@ -240,3 +244,45 @@ class TestAgainstOracle:
                     assert set(eval_eae(g, static, counts, tau).solutions) == set(
                         oracle_solutions(g, delta, spec3, static).solutions
                     )
+
+
+class TestLeast:
+    """queries._least against ceil(tau * s) in Fractions, on its int64 path
+    and on its Python-int table."""
+
+    P = 2**61 + 1  # p * s fits int64 up to s = 3
+
+    CASES = [
+        (Fraction(1), [0, 1, 2, 7, 1000]),
+        (Fraction(1, 2**62), [0, 1, 2**20, 5]),
+        (Fraction(10**30 - 1, 10**30), [0, 1, 3, 999]),
+        (Fraction(7, 10**30), [0, 4, 1]),
+        (Fraction(1, 3), list(range(40))),
+        (Fraction(P, P + 2), [0, 1, 2, 3]),  # at the crossover: int64 path
+        (Fraction(P, P + 2), [0, 1, 2, 3, 4]),  # one past it: table
+        (Fraction(2**63 - 1, 2**63), [0, 1]),  # denominator beyond int64
+        (Fraction(1, 5), []),
+    ]
+
+    @staticmethod
+    def brute(tau, sizes, floor):
+        return [max(floor, math.ceil(tau * s)) for s in sizes]
+
+    @pytest.mark.parametrize("floor", [0, 1])
+    @pytest.mark.parametrize("tau,sizes", CASES)
+    def test_matches_fraction_brute_force(self, monkeypatch, tau, sizes, floor):
+        arr = np.array(sizes, dtype=np.int64)
+        want = self.brute(tau, sizes, floor)
+        got = queries._least(tau, arr, floor)
+        assert got.dtype == np.int64 and got.tolist() == want
+        monkeypatch.setattr(queries, "_I64_MAX", -1)  # every tau through the table
+        assert queries._least(tau, arr, floor).tolist() == want
+
+    def test_crossover_picks_the_path(self):
+        tau = Fraction(self.P, self.P + 2)
+        at, past = np.array([0, 3]), np.array([0, 4])
+        with mock.patch.object(np, "array", wraps=np.array) as table:
+            assert queries._least(tau, at, 1).tolist() == [1, 3]
+            assert table.call_count == 0
+            assert queries._least(tau, past, 1).tolist() == [1, 4]
+            assert table.call_count == 1
