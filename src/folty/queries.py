@@ -15,9 +15,10 @@ size per directed pair (x, y), degree[y] or the common count of static edge
 {x, y}, gives each edge the least count max(1, ceil(tau * size)) it needs to
 certify; the least counts are int64 array arithmetic when tau's numerator
 times the largest size and its denominator fit int64, and come from a table
-built in Python integers otherwise, so any Fraction tau stays exact. eea lists the edges of that certificate mask. An
-edge only certifies if it has at least one closing neighbor, so empty
-universes never satisfy the quantifier vacuously.
+built in Python integers otherwise, so any Fraction tau stays exact. eea
+lists the edges of that certificate mask. An edge only certifies if it has
+at least one closing neighbor, so empty universes never satisfy the
+quantifier vacuously.
 
 eae and eaa share one vertex path, built from state that no tau changes: the
 common-neighbor universe sizes, once per graph (TemporalGraph.pair_common),

@@ -1,5 +1,6 @@
 """Parsing, static projection, peeling order, and stats."""
 
+import heapq
 import io
 import random
 from unittest import mock
@@ -615,8 +616,6 @@ class TestStats:
 def heap_peel_alpha(s):
     """alpha of the one-vertex-at-a-time min-degree peel (lazy heap), the
     rule the level batches replaced."""
-    import heapq
-
     deg = list(s.degree)
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
@@ -722,9 +721,12 @@ def remap_columns():
     yield np.array([3, 0, 5, 1]), np.array([0, 2, 1, 4]), np.array([5, 1, 1, 0]), None
     u = rng.integers(0, 50, 400)
     yield u, (u + rng.integers(1, 50, 400)) % 50, rng.integers(-3, 3, 400), None  # dense
+    u = rng.integers(0, 10**6, 300)
+    yield u, u + rng.integers(1, 10**6, 300), rng.integers(0, 9, 300), None  # spread
     u = rng.integers(0, 2**40, 300)
-    yield u, u + rng.integers(1, 2**20, 300), rng.integers(0, 9, 300), None  # spread
+    yield u, u + rng.integers(1, 2**20, 300), rng.integers(0, 9, 300), None  # beyond an int32 table
     yield np.array([0, 2**63 - 1, 7]), np.array([2**63 - 1, 0, 0]), np.array([2, 1, 2]), None
+    yield np.array([-5, 3, 0]), np.array([2, -5, 3]), np.array([1, 1, 0]), None  # from_edges takes negative ids
     g = TemporalGraph.from_edges([(2**64 + 9, 0, 3), (5, 2**70, 1), (0, 5, 1)])
     yield g.src, g.dst, g.ts, g.orig  # ranks of Python-int labels
     empty = np.zeros(0, dtype=np.int64)
@@ -743,22 +745,24 @@ class TestIdRemap:
 
     def test_table_and_searchsorted_agree(self, monkeypatch):
         for columns in remap_columns():
-            table, _ = self.build(monkeypatch, 10**9, columns)
+            table, calls = self.build(monkeypatch, 10**9, columns)
+            ids = np.concatenate(columns[:2])
+            assert calls == (0 if ids.min(initial=0) >= 0 and ids.max(initial=0) < 2**31 - 1 else 2)
             search, calls = self.build(monkeypatch, 0, columns)
             assert calls == 2 or not len(columns[2])
             assert table.orig == search.orig
             for name in ("src", "dst", "ts"):
                 assert getattr(table, name).tolist() == getattr(search, name).tolist()
                 assert getattr(table, name).dtype == np.int64
-            ids = columns[3] or sorted(set(columns[0].tolist()) | set(columns[1].tolist()))
-            assert table.orig == ids
+            assert table.orig == (columns[3] or sorted(set(ids.tolist())))
 
     def test_dense_ids_use_the_table(self, monkeypatch):
         columns = list(remap_columns())[1]
         _, calls = self.build(monkeypatch, folty.graph.ID_TABLE_RATIO, columns)
         assert calls == 0
-        _, calls = self.build(monkeypatch, folty.graph.ID_TABLE_RATIO, list(remap_columns())[2])
-        assert calls == 2
+        for spread in list(remap_columns())[2:4]:
+            _, calls = self.build(monkeypatch, folty.graph.ID_TABLE_RATIO, spread)
+            assert calls == 2
 
     def test_sorted_input_skips_the_argsort_exactly(self, monkeypatch):
         rng = np.random.default_rng(74)
