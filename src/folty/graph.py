@@ -36,7 +36,8 @@ COMMON_BLOCK = 1 << 14
 WEDGE_BLOCK = 1 << 14
 
 #: Peel batches of fewer vertices than this run in a Python loop, larger ones
-#: as array operations; both follow the same batch rule.
+#: as array operations; both follow the same batch rule. Below it the arrays'
+#: fixed cost per batch outweighs the loop's cost per edge.
 PEEL_BATCH = 64
 
 #: Ids are ranked through an int32 table when max id + 1 is at most this
@@ -210,9 +211,8 @@ class TemporalGraph:
             new[1:] = ids[1:] != ids[:-1]
             ids = ids[new]
             u, v = np.searchsorted(ids, u), np.searchsorted(ids, v)
-        order = _t_order(t)
-        if order is not None:
-            u, v, t = u[order], v[order], t[order]
+        order = np.argsort(t, kind="stable")
+        u, v, t = u[order], v[order], t[order]
         orig = ids.tolist() if labels is None else labels
         return cls(u, v, t, orig, dropped)
 
@@ -279,12 +279,6 @@ class TemporalGraph:
         j = np.minimum(np.searchsorted(keys, rev), len(keys) - 1)
         both = sizes + np.where(keys[j] == rev, sizes[j], 0)
         return int(both.max())
-
-
-def _t_order(t: np.ndarray) -> np.ndarray | None:
-    """The stable argsort of t, or None when t is already non-decreasing and
-    the argsort would be the identity."""
-    return np.argsort(t, kind="stable") if np.any(t[1:] < t[:-1]) else None
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:

@@ -763,16 +763,3 @@ class TestIdRemap:
         for spread in list(remap_columns())[2:4]:
             _, calls = self.build(monkeypatch, folty.graph.ID_TABLE_RATIO, spread)
             assert calls == 2
-
-    def test_sorted_input_skips_the_argsort_exactly(self, monkeypatch):
-        rng = np.random.default_rng(74)
-        u = rng.integers(0, 30, 500)
-        v = (u + rng.integers(1, 30, 500)) % 30
-        t = np.sort(rng.integers(0, 20, 500))
-        assert folty.graph._t_order(t) is None
-        skipped = TemporalGraph._from_columns(u, v, t, 0)
-        monkeypatch.setattr(folty.graph, "_t_order", lambda t: np.argsort(t, kind="stable"))
-        forced = TemporalGraph._from_columns(u, v, t, 0)
-        assert skipped.orig == forced.orig
-        for name in ("src", "dst", "ts"):
-            assert getattr(skipped, name).tolist() == getattr(forced, name).tolist()
