@@ -23,8 +23,10 @@ lists by pair id; every chained lookup is one np.searchsorted on the
 composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The passes
 slice the ordering's flat (a, b, c) arrays TRIANGLE_BLOCK triangles at a
 time into jobs, and jobs run in blocks of about BLOCK expanded entries, so
-temporaries stay small. Window checks compare t3 - t as an unsigned 64-bit
-difference, so timestamps at the int64 extremes and any delta are exact.
+temporaries stay small. The pair-id lookup and the block expansion are the
+graph layer's _find, _blocks and _entries, which its triangle listing uses
+too. Window checks compare t3 - t as an unsigned 64-bit difference, so
+timestamps at the int64 extremes and any delta are exact.
 
 The chains themselves do not depend on delta: only the final window check
 does. So one expansion serves every delta of a sweep (count_tables). The out
@@ -40,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph import DegeneracyOrdering, StaticGraph, TemporalGraph, build_static, degeneracy_order
+from .graph import _blocks, _entries, _find
 
 # The passes do not use the stabbing tree; the name stays importable from
 # this module because the benchmark's tracer and its tests look it up here.
@@ -165,30 +168,7 @@ def _triangle_blocks(
 
 def _pair_ids(g: TemporalGraph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pair id of each directed pair (x[i], y[i]); -1 where it has no edge."""
-    key = x * g.n + y
-    p = np.minimum(np.searchsorted(g.pair_key, key), len(g.pair_key) - 1)
-    return np.where(g.pair_key[p] == key, p, -1)
-
-
-def _entries(g: TemporalGraph, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry indices of the lists of pairs p, concatenated, and the index
-    into p of the list each entry belongs to."""
-    sizes = g.pair_start[p + 1] - g.pair_start[p]
-    ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(len(p)), sizes)
-    return np.arange(ends[-1]) + (g.pair_start[p] - ends + sizes)[owner], owner
-
-
-def _blocks(g: TemporalGraph, p: np.ndarray) -> list[slice]:
-    """Slices of p whose lists start within one BLOCK-wide window of the
-    concatenated entries."""
-    if not len(p):
-        return []
-    sizes = g.pair_start[p + 1] - g.pair_start[p]
-    starts = np.cumsum(sizes) - sizes
-    marks = np.arange(0, starts[-1] + sizes[-1], BLOCK)
-    cuts = np.append(np.searchsorted(starts, marks), len(p)).tolist()
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    return _find(g.pair_key, x * g.n + y)
 
 
 def out_pass(
@@ -232,8 +212,8 @@ def _out_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndar
         p3 = np.concatenate((bc, ac, cb, ab))
         keep = (p1 >= 0) & (p2 >= 0) & (p3 >= 0)
         p1, p2, p3 = p1[keep], p2[keep], p3[keep]
-        for block in _blocks(g, p1):
-            i, job = _entries(g, p1[block])
+        for block in _blocks(start, p1, BLOCK):
+            i, job = _entries(start, p1[block])
             q1, q2, q3 = p1[block][job], p2[block][job], p3[block][job]
             j = np.searchsorted(comp, comp[i] + (q2 - q1) * r)
             hit = j < start[q2 + 1]
@@ -312,8 +292,8 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
         keep = (pt >= 0) & (p2 >= 0) & (p3 >= 0)
         order = np.argsort(pt[keep], kind="stable")
         pt, p2, p3 = pt[keep][order], p2[keep][order], p3[keep][order]
-        for block in _blocks(g, p2):
-            i, job = _entries(g, p2[block])
+        for block in _blocks(start, p2, BLOCK):
+            i, job = _entries(start, p2[block])
             q2, q3 = p2[block][job], p3[block][job]
             k = np.searchsorted(comp, comp[i] + (q3 - q2) * r)
             hit = k < start[q3 + 1]
@@ -326,7 +306,7 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
             hi = comp[i] - q2 * r
             target = pt[block][job]
             # Targets ascend with their jobs: look each up once.
-            e, _ = _entries(g, target[np.diff(target, prepend=-1) != 0])
+            e, _ = _entries(start, target[np.diff(target, prepend=-1) != 0])
             q, rows = comp[e], g.pair_eid[e]
             base = target * r
             # Largest window first: each smaller one keeps a subset.

@@ -14,13 +14,17 @@ is the edge id used by every per-edge array.
 The degeneracy order peels the static projection in level batches (core
 decomposition in the style of Batagelj and Zaversnik), and the orientation
 it induces keeps every out-degree <= alpha.
+
+The array kernels of every layer live here once: _find (sorted-key lookup),
+_blocks and _entries (CSR rows in bounded blocks), _orient, and
+_closed_wedges, which lists each triangle of an acyclic orientation once
+(Chiba and Nishizeki), for both the count passes and the common counts.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -29,10 +33,8 @@ import numpy as np
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
-#: Expanded neighbor entries per vectorized block of StaticGraph.common_counts.
-COMMON_BLOCK = 1 << 14
-
-#: Wedges (a, b, c) checked per vectorized block of DegeneracyOrdering.triangles.
+#: Wedges checked per vectorized block of _closed_wedges (a block may exceed
+#: it by the size of its last row, since one row is never split).
 WEDGE_BLOCK = 1 << 14
 
 #: Peel batches of fewer vertices than this run in a Python loop, larger ones
@@ -275,10 +277,8 @@ class TemporalGraph:
             return 0
         sizes = np.diff(self.pair_start)
         x, y = np.divmod(keys, self.n)
-        rev = y * self.n + x
-        j = np.minimum(np.searchsorted(keys, rev), len(keys) - 1)
-        both = sizes + np.where(keys[j] == rev, sizes[j], 0)
-        return int(both.max())
+        j = _find(keys, y * self.n + x)
+        return int((sizes + np.where(j >= 0, sizes[j], 0)).max())
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
@@ -288,55 +288,39 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     any order; '#' comment lines and blank lines are ignored; LF and CRLF
     both work. Malformed lines raise ParseError with the line number.
 
-    bytes and binary file objects are read CHUNK bytes at a time (extended
-    to a line end), lose their comment lines, and are tokenized straight
-    into int64 columns. Input that needs a decision per line (a '#' other
-    than at the start of a line's first field, a line without three fields,
-    a field that is not a plain int64, a negative id, or in bytes a lone
-    '\r', which bytes.splitlines treats as a line break) is parsed again
-    from line 1 by the line loop, which gives every message and line number.
-    The chunks read so far are replayed, so the stream need not be seekable.
-    str input and text file objects go to the line loop directly.
+    A binary file object is read whole and then parsed like bytes: CHUNK
+    bytes at a time (extended to a line end), without its comment lines,
+    tokenized straight into int64 columns. Input that needs a decision per
+    line (a '#' other than at the start of a line's first field, a line
+    without three fields, a field that is not a plain int64, a negative id,
+    or in bytes a lone '\r', which bytes.splitlines treats as a line break)
+    is parsed again from line 1 by the line loop, which gives every message
+    and line number. The line loop reads the bytes already read, so the
+    stream need not be seekable. str input and text file objects go to the
+    line loop directly.
     """
     if isinstance(data, bytes):
-        columns = _parse_chunks(_byte_chunks(data), lone_cr=True)
-        if columns is None:
-            return _parse_lines(data.splitlines())
+        raw, lone_cr = data, True
     elif isinstance(data, (io.RawIOBase, io.BufferedIOBase)):
-        seen: list[bytes] = []
-        columns = _parse_chunks(_file_chunks(data, seen), lone_cr=False)
-        if columns is None:
-            return _parse_lines(chain(io.BytesIO(b"".join(seen)), data))
-        del seen  # only a replay reads the chunks; the build needs the memory
+        raw, lone_cr = data.read(), False
     else:
         return _parse_lines(data.splitlines() if isinstance(data, str) else data)
+    columns = _parse_chunks(raw, lone_cr)
+    if columns is None:
+        return _parse_lines(raw.splitlines() if lone_cr else io.BytesIO(raw))
+    del raw  # only the line loop reads the input again; the build needs the memory
     return TemporalGraph._from_columns(*columns)
 
 
-def _byte_chunks(data: bytes) -> Iterator[bytes]:
+def _parse_chunks(data: bytes, lone_cr: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """Loop-free (u, v, t) int64 columns and the self-loop count of `data`,
+    read CHUNK bytes at a time (extended to a line end), or None if a line
+    needs the line loop."""
+    parts = []
     pos = 0
     while pos < len(data):
         end = data.find(b"\n", pos + CHUNK - 1) + 1 or len(data)
-        yield data[pos:end]
-        pos = end
-
-
-def _file_chunks(fh: IO[bytes], seen: list[bytes]) -> Iterator[bytes]:
-    """Line-aligned chunks of a binary stream, each also kept in `seen`."""
-    while chunk := fh.read(CHUNK):
-        if not chunk.endswith(b"\n"):
-            chunk += fh.readline()
-        seen.append(chunk)
-        yield chunk
-
-
-def _parse_chunks(
-    chunks: Iterable[bytes], lone_cr: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """Loop-free (u, v, t) int64 columns and the self-loop count of
-    line-aligned chunks, or None if a line needs the line loop."""
-    parts = []
-    for chunk in chunks:
+        chunk, pos = data[pos:end], end
         if lone_cr and chunk.count(b"\r") != chunk.count(b"\r\n"):
             return None
         if b"#" in chunk:
@@ -444,6 +428,70 @@ def _csr_lists(start: np.ndarray, items: np.ndarray) -> list[list[int]]:
     return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _find(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Index of each query key q[i] among the ascending, non-empty keys; -1
+    where it is absent."""
+    i = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[i] == q, i, -1)
+
+
+def _entries(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices of the CSR rows `rows`, concatenated, and the index
+    into rows of the row each entry belongs to."""
+    sizes = start[rows + 1] - start[rows]
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    return np.arange(ends[-1]) + (start[rows] - ends + sizes)[owner], owner
+
+
+def _blocks(start: np.ndarray, rows: np.ndarray, cap: int) -> list[slice]:
+    """Slices of rows whose CSR rows start within one cap-wide window of the
+    concatenated entries."""
+    if not len(rows):
+        return []
+    sizes = start[rows + 1] - start[rows]
+    starts = np.cumsum(sizes) - sizes
+    marks = np.arange(0, starts[-1] + sizes[-1], cap)
+    cuts = np.append(np.searchsorted(starts, marks), len(rows)).tolist()
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+
+def _orient(n: int, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Point each edge {u[i], v[i]} from u[i] to v[i] where up[i], else the
+    other way, in CSR form: row x holds x's heads, ascending. Returns
+    (order, start, head): entry j of the rows is the edge order[j]."""
+    key = np.where(up, u, v) * n + np.where(up, v, u)
+    order = np.argsort(key)
+    key = key[order]
+    tail, head = np.divmod(key, n)
+    return order, np.searchsorted(tail, np.arange(n + 1)), head
+
+
+def _closed_wedges(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triangle x -> y, x -> z, y -> z of an acyclic CSR orientation
+    (x's heads are nbr[start[x]:start[x + 1]], ascending) once, as the entry
+    indices (xy, xz, yz), ascending by (xy, xz).
+
+    Each entry x -> y, where x has another head and y has one, expands the
+    row of x and looks the key y * n + z of every head z up among the
+    sorted entry keys, WEDGE_BLOCK lookups at a time.
+    """
+    n = len(start) - 1
+    outdeg = np.diff(start)
+    tail = np.repeat(np.arange(n, dtype=np.int64), outdeg)
+    keys = tail * n + nbr
+    xy = np.flatnonzero((outdeg[tail] > 1) & (outdeg[nbr] > 0))
+    parts = [(np.empty(0, dtype=np.int64),) * 3]
+    for block in _blocks(start, tail[xy], WEDGE_BLOCK):
+        xz, i = _entries(start, tail[xy[block]])
+        e = xy[block][i]
+        yz = _find(keys, nbr[e] * n + nbr[xz])
+        hit = yz >= 0
+        parts.append((e[hit], xz[hit], yz[hit]))
+    xy, xz, yz = (np.concatenate(column) for column in zip(*parts))
+    return xy, xz, yz
+
+
 class StaticGraph:
     """Undirected simple projection of a temporal multigraph, in CSR form.
 
@@ -451,8 +499,8 @@ class StaticGraph:
     static edges are the columns edge_u < edge_v, ascending by key
     u * n + v. degree is a list of Python ints. adj, edges and edge_degree
     are list views built on first use, for the oracle, the practical engine
-    and tests. Common-neighbor counts are one int64 array aligned with the
-    edge columns, built on first use.
+    and tests. Common-neighbor counts, the triangles on each edge, are one
+    int64 array aligned with the edge columns, built on first use.
     """
 
     __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v", "degree", "_adj", "_edges", "_adj_sets", "_common")
@@ -501,30 +549,20 @@ class StaticGraph:
         return np.minimum(deg[self.edge_u], deg[self.edge_v])
 
     def common_counts(self) -> np.ndarray:
-        """|N(u) & N(v)| for every static edge (u, v), in edge order.
+        """|N(u) & N(v)| for every static edge (u, v), in edge order: the
+        number of triangles on the edge.
 
-        Each edge expands the neighbors w of its lower-degree endpoint x and
-        looks the key y * n + w up among the sorted adjacency keys, y being
-        the other endpoint: sum_edge_degree lookups, COMMON_BLOCK at a time.
+        With the edges pointing to the higher (degree, id) endpoint, one
+        bincount credits each triangle of _closed_wedges to its three edges.
+        An edge x -> y expands outdeg(x) <= min(deg x, deg y) out-neighbors,
+        so there are at most sum_edge_degree lookups.
         """
         if self._common is None:
-            n, start, nbr = self.n, self.adj_start, self.adj_nbr
-            deg = np.diff(start)
-            keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + nbr
             u, v = self.edge_u, self.edge_v
-            x = np.where(deg[u] <= deg[v], u, v)
-            y = u + v - x
-            ends = np.cumsum(deg[x])
-            skew = start[x + 1] - ends  # entry j of edge e is nbr[j + skew[e]]
-            total = int(ends[-1]) if len(ends) else 0
-            common = np.zeros(len(u), dtype=np.int64)
-            for lo in range(0, total, COMMON_BLOCK):
-                j = np.arange(lo, min(lo + COMMON_BLOCK, total))
-                e = np.searchsorted(ends, j, side="right")
-                q = y[e] * n + nbr[j + skew[e]]
-                hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
-                np.add.at(common, e[hit], 1)
-            self._common = common
+            deg = np.diff(self.adj_start)
+            order, start, head = _orient(self.n, u, v, deg[u] <= deg[v])
+            self._common = np.empty(len(u), dtype=np.int64)
+            self._common[order] = np.bincount(np.concatenate(_closed_wedges(start, head)), minlength=len(u))
         return self._common
 
     def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -581,31 +619,14 @@ class DegeneracyOrdering:
         rank(a) < rank(b) < rank(c), ascending by (a, b, c); built on first
         use.
 
-        For each oriented edge (a, b), c runs over the out-neighbors of a and
-        is kept where b -> c is an oriented edge: sum of outdeg^2 <= alpha * m
-        lookups among the sorted orientation keys, WEDGE_BLOCK at a time.
+        The triangles of the orientation by _closed_wedges: for each oriented
+        edge (a, b), c runs over the out-neighbors of a and is kept where
+        b -> c is an oriented edge, sum of outdeg^2 <= alpha * m lookups.
         """
         if self._triangles is None:
-            n, start, nbr = len(self.pi), self.out_start, self.out_nbr
-            outdeg = np.diff(start)
-            tail = np.repeat(np.arange(n, dtype=np.int64), outdeg)
-            keys = tail * n + nbr
-            e = np.flatnonzero((outdeg[tail] > 1) & (outdeg[nbr] > 0))
-            size = outdeg[tail[e]]
-            ends = np.cumsum(size)
-            skew = start[tail[e] + 1] - ends  # wedge j of edge e[i] ends at nbr[j + skew[i]]
-            total = int(ends[-1]) if len(ends) else 0
-            edge_parts, c_parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-            for lo in range(0, total, WEDGE_BLOCK):
-                j = np.arange(lo, min(lo + WEDGE_BLOCK, total))
-                i = np.searchsorted(ends, j, side="right")
-                c = nbr[j + skew[i]]
-                q = nbr[e[i]] * n + c
-                hit = keys[np.minimum(np.searchsorted(keys, q), len(keys) - 1)] == q
-                edge_parts.append(e[i[hit]])
-                c_parts.append(c[hit])
-            ab = np.concatenate(edge_parts)
-            self._triangles = (tail[ab], nbr[ab], np.concatenate(c_parts))
+            ab, ac, _ = _closed_wedges(self.out_start, self.out_nbr)
+            tail = np.repeat(np.arange(len(self.pi), dtype=np.int64), np.diff(self.out_start))
+            self._triangles = (tail[ab], self.out_nbr[ab], self.out_nbr[ac])
         return self._triangles
 
     def pair_order(self) -> np.ndarray:
@@ -630,7 +651,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     Zaversnik) one batch at a time, O(n * levels + m log m). Batches of
     PEEL_BATCH vertices or more run as array operations, smaller ones in
     _peel_loop; the order does not depend on which. The orientation is then
-    one sort of the static edge columns by tail * n + head.
+    _orient of the static edge columns by rank.
     """
     n, start, nbr = static.n, static.adj_start, static.adj_nbr
     size = np.diff(start)
@@ -669,11 +690,8 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
     u, v = static.edge_u, static.edge_v
-    up = ranks[u] < ranks[v]
-    tail, head = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
-    return DegeneracyOrdering(
-        ranks.tolist(), order.tolist(), k, np.searchsorted(tail, np.arange(n + 1)), head
-    )
+    _, out_start, out_nbr = _orient(n, u, v, ranks[u] < ranks[v])
+    return DegeneracyOrdering(ranks.tolist(), order.tolist(), k, out_start, out_nbr)
 
 
 def _peel_loop(

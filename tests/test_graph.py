@@ -3,6 +3,7 @@
 import heapq
 import io
 import random
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -389,16 +390,24 @@ class TestStatic:
 
     def test_common_matches_brute_on_random_graphs(self):
         rng = random.Random(7)
-        for _ in range(25):
-            g = random_temporal_graph(rng, max_vertices=50, max_edges=200)
-            s = build_static(g)
+        randoms = [build_static(random_temporal_graph(rng, max_vertices=50, max_edges=200)) for _ in range(25)]
+        # Equal-degree endpoints, which the (degree, id) orientation orders
+        # by id: a cycle, the octahedron, and a 4-regular circulant under
+        # shuffled labels.
+        label = list(range(20))
+        rng.shuffle(label)
+        ties = [
+            static_from_edges(9, [(i, (i + 1) % 9) for i in range(9)]),
+            static_from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 1 or u % 2]),
+            static_from_edges(20, [(label[i], label[(i + j) % 20]) for i in range(20) for j in (1, 2)]),
+        ]
+        for s in chain(randoms, peel_shapes(), ties):
             sets = [set(a) for a in s.adj]
-            for (u, v), c in zip(s.edges, s.common_counts().tolist()):
-                assert c == len(sets[u] & sets[v])
+            assert s.common_counts().tolist() == [len(sets[u] & sets[v]) for u, v in s.edges]
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_common_counts_in_small_blocks(self, monkeypatch, block):
-        monkeypatch.setattr(folty.graph, "COMMON_BLOCK", block)
+        monkeypatch.setattr(folty.graph, "WEDGE_BLOCK", block)
         rng = random.Random(11 + block)
         for _ in range(10):
             s = build_static(random_temporal_graph(rng, max_vertices=20, max_edges=120))

@@ -6,7 +6,7 @@ one would leave its spans or counters silently empty. This test fails first.
 
 import pytest
 
-from folty import cli, engine
+from folty import cli, engine, queries
 from folty.graph import StaticGraph
 
 TRACED = [
@@ -16,6 +16,10 @@ TRACED = [
     (cli, "run_query"),
     (cli, "run_sweep"),
     (cli, "parse_edge_list"),
+    (cli, "build_static"),
+    (cli, "degeneracy_order"),
+    (cli, "graph_stats"),
+    (queries, "eval_eea"),
     (engine, "out_pass"),
     (engine, "in_pass"),
     (engine, "oriented_triangles"),
