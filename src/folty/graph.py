@@ -4,7 +4,9 @@ The input format is one directed temporal edge per line, "src dst t", with
 ids as non-negative integers and timestamps as signed 64-bit integers
 (seconds). Lines starting with '#' are comments. Self-loops are dropped at
 parse time. Parallel edges, including exact duplicate lines, are kept as
-distinct edges.
+distinct edges. Bytes and binary files are tokenized by one numpy.loadtxt
+call over the whole buffer; the line loop parses whatever that call
+declines, so every ParseError names its line.
 
 Vertex ids are remapped to dense [0, n) by ascending original id, through a
 rank table when the ids are dense enough; original ids are kept for output.
@@ -24,7 +26,8 @@ _closed_wedges, which lists each triangle of an acyclic orientation once
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -45,14 +48,6 @@ PEEL_BATCH = 64
 #: Ids are ranked through an int32 table when max id + 1 is at most this
 #: many times 2m (and below 2**31), otherwise by sort and searchsorted.
 ID_TABLE_RATIO = 4
-
-#: Bytes per chunk of the array parse; a chunk runs on to the end of its
-#: last line, so no line is split between chunks.
-CHUNK = 1 << 16
-
-#: The bytes that bytes.split() separates fields on.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c")] = True
 
 #: Shared empty pair list: (eids, timestamps).
 EMPTY_PAIR: tuple[list[int], list[int]] = ([], [])
@@ -288,92 +283,77 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     any order; '#' comment lines and blank lines are ignored; LF and CRLF
     both work. Malformed lines raise ParseError with the line number.
 
-    A binary file object is read whole and then parsed like bytes: CHUNK
-    bytes at a time (extended to a line end), without its comment lines,
-    tokenized straight into int64 columns. Input that needs a decision per
-    line (a '#' other than at the start of a line's first field, a line
-    without three fields, a field that is not a plain int64, a negative id,
-    or in bytes a lone '\r', which bytes.splitlines treats as a line break)
-    is parsed again from line 1 by the line loop, which gives every message
-    and line number. The line loop reads the bytes already read, so the
-    stream need not be seekable. str input and text file objects go to the
-    line loop directly.
+    A binary file object is read whole and then parsed like bytes: without
+    its comment lines, by one numpy.loadtxt call straight into int64
+    columns. Input that needs a decision per line (a lone '\r', which
+    bytes.splitlines treats as a line break and a file does not, a '#'
+    other than at the start of a line's first field, a non-ASCII byte, a
+    line without three fields, a field that is not a plain int64, or a
+    negative id) is parsed again from line 1 by the line loop, which gives
+    every message and line number. The line loop reads the bytes already
+    read, so the stream need not be seekable. str input and text file
+    objects go to the line loop directly.
     """
     if isinstance(data, bytes):
-        raw, lone_cr = data, True
+        raw, lines = data, bytes.splitlines
     elif isinstance(data, (io.RawIOBase, io.BufferedIOBase)):
-        raw, lone_cr = data.read(), False
+        raw, lines = data.read(), io.BytesIO
     else:
         return _parse_lines(data.splitlines() if isinstance(data, str) else data)
-    columns = _parse_chunks(raw, lone_cr)
+    columns = _parse_array(raw)
     if columns is None:
-        return _parse_lines(raw.splitlines() if lone_cr else io.BytesIO(raw))
+        return _parse_lines(lines(raw))
     del raw  # only the line loop reads the input again; the build needs the memory
     return TemporalGraph._from_columns(*columns)
 
 
-def _parse_chunks(data: bytes, lone_cr: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
     """Loop-free (u, v, t) int64 columns and the self-loop count of `data`,
-    read CHUNK bytes at a time (extended to a line end), or None if a line
-    needs the line loop."""
-    parts = []
-    pos = 0
-    while pos < len(data):
-        end = data.find(b"\n", pos + CHUNK - 1) + 1 or len(data)
-        chunk, pos = data[pos:end], end
-        if lone_cr and chunk.count(b"\r") != chunk.count(b"\r\n"):
+    or None if a line needs the line loop."""
+    # A lone '\r' ends a line for bytes.splitlines but not in a file, and
+    # loadtxt rejects one inside a line only as "currently not supported".
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    if b"#" in data:
+        data = _drop_comments(data)
+        if data is None:
             return None
-        if b"#" in chunk:
-            chunk = _drop_comments(chunk)
-            if chunk is None:
-                return None
+    # loadtxt decodes latin-1, where b"\xa0" and b"\x85" are whitespace
+    if not data.isascii():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. "input contained no data"
         try:
-            tokens = np.array(chunk.split(), dtype=np.int64)
-        except (ValueError, OverflowError, TypeError):
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
             return None
-        if not _three_per_line(chunk, len(tokens)):
-            return None
-        parts.append(tokens)
-    rows = np.concatenate(parts).reshape(-1, 3) if parts else np.empty((0, 3), dtype=np.int64)
-    if np.any(rows[:, :2] < 0):
+    if rows.shape[1] != 3 or np.any(rows[:, :2] < 0):
         return None
     keep = rows[:, 0] != rows[:, 1]
     return rows[keep, 0], rows[keep, 1], rows[keep, 2], len(keep) - int(keep.sum())
 
 
-def _drop_comments(chunk: bytes) -> bytes | None:
-    """`chunk` without its comment lines, those whose first field starts
-    with '#', or None if one is not UTF-8, which the line loop reports. Any
-    other '#' stays, and the tokenizer rejects its field."""
-    b = np.frombuffer(chunk, dtype=np.uint8)
-    eol = b == 10
-    line = np.cumsum(eol) - eol  # a line's newline belongs to it
-    lead = np.flatnonzero(~_SPACE[b])
-    lead = lead[np.diff(line[lead], prepend=-1) != 0]  # first field start per line
-    comment = np.zeros(int(line[-1]) + 1, dtype=bool)
-    comment[line[lead[b[lead] == 35]]] = True
-    drop = comment[line]
-    text = b[drop]
-    if np.any(text >= 0x80):
+def _drop_comments(data: bytes) -> bytes | None:
+    """`data` without its comment lines, those whose first field starts
+    with '#', or None if a '#' lies outside a comment line or a comment line
+    is not UTF-8; the line loop reports both."""
+    kept = []
+    pos = 0  # start of the text not yet kept
+    hit = data.find(b"#")
+    while hit >= 0:
+        start = data.rfind(b"\n", 0, hit) + 1
+        if data[start:hit].strip():
+            return None
+        end = data.find(b"\n", hit) + 1 or len(data)
         try:
-            text.tobytes().decode("utf-8")
+            data[start:end].decode("utf-8")
         except UnicodeDecodeError:
             return None
-    return b[~drop].tobytes()
-
-
-def _three_per_line(chunk: bytes, count: int) -> bool:
-    """Whether the `count` fields of `chunk` fall three to a line: the first
-    and third field of each triple on one line, the next triple on a later
-    one."""
-    if count % 3:
-        return False
-    b = np.frombuffer(chunk, dtype=np.uint8)
-    space = _SPACE[b]
-    starts = np.flatnonzero(~space & np.insert(space[:-1], 0, True))
-    line = np.searchsorted(np.flatnonzero(b == 10), starts)
-    first, third = line[0::3], line[2::3]
-    return bool(np.all(first == third) and np.all(first[1:] > third[:-1]))
+        kept.append(data[pos:start])
+        pos = end
+        hit = data.find(b"#", end)
+    kept.append(data[pos:])
+    return b"".join(kept)
 
 
 def _parse_lines(lines: Iterable[str | bytes]) -> TemporalGraph:
@@ -456,15 +436,12 @@ def _blocks(start: np.ndarray, rows: np.ndarray, cap: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
-def _orient(n: int, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _orient(n: int, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Point each edge {u[i], v[i]} from u[i] to v[i] where up[i], else the
     other way, in CSR form: row x holds x's heads, ascending. Returns
-    (order, start, head): entry j of the rows is the edge order[j]."""
-    key = np.where(up, u, v) * n + np.where(up, v, u)
-    order = np.argsort(key)
-    key = key[order]
-    tail, head = np.divmod(key, n)
-    return order, np.searchsorted(tail, np.arange(n + 1)), head
+    (start, head)."""
+    tail, head = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
+    return np.searchsorted(tail, np.arange(n + 1)), head
 
 
 def _closed_wedges(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -497,10 +474,11 @@ class StaticGraph:
 
     u's neighbors are adj_nbr[adj_start[u]:adj_start[u + 1]], ascending; the
     static edges are the columns edge_u < edge_v, ascending by key
-    u * n + v. degree is a list of Python ints. adj, edges and edge_degree
-    are list views built on first use, for the oracle, the practical engine
-    and tests. Common-neighbor counts, the triangles on each edge, are one
-    int64 array aligned with the edge columns, built on first use.
+    u * n + v. degree is a list of Python ints. adj and edges are list views
+    built on first use and edge_degree a list computed on each access, for
+    the oracle, the practical engine and tests. Common-neighbor counts, the
+    triangles on each edge, are one int64 array aligned with the edge
+    columns, built on first use.
     """
 
     __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v", "degree", "_adj", "_edges", "_adj_sets", "_common")
@@ -553,24 +531,31 @@ class StaticGraph:
         number of triangles on the edge.
 
         With the edges pointing to the higher (degree, id) endpoint, one
-        bincount credits each triangle of _closed_wedges to its three edges.
-        An edge x -> y expands outdeg(x) <= min(deg x, deg y) out-neighbors,
-        so there are at most sum_edge_degree lookups.
+        bincount credits each triangle of _closed_wedges to its three edges,
+        which are then found by edge key. An edge x -> y expands
+        outdeg(x) <= min(deg x, deg y) out-neighbors, so there are at most
+        sum_edge_degree lookups.
         """
         if self._common is None:
             u, v = self.edge_u, self.edge_v
             deg = np.diff(self.adj_start)
-            order, start, head = _orient(self.n, u, v, deg[u] <= deg[v])
+            start, head = _orient(self.n, u, v, deg[u] <= deg[v])
+            tail = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(start))
             self._common = np.empty(len(u), dtype=np.int64)
-            self._common[order] = np.bincount(np.concatenate(_closed_wedges(start, head)), minlength=len(u))
+            self._common[self._edge_index(tail, head)] = np.bincount(
+                np.concatenate(_closed_wedges(start, head)), minlength=len(u)
+            )
         return self._common
 
     def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}, found by sorted
-        edge key."""
-        common = self.common_counts()
+        """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}."""
+        return self.common_counts()[self._edge_index(u, v)]
+
+    def _edge_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Index in the edge columns of each static edge {u[i], v[i]}, found
+        by sorted edge key."""
         n = self.n
-        return common[np.searchsorted(self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v))]
+        return np.searchsorted(self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v))
 
     def sum_edge_degree(self) -> int:
         return int(self._edge_degree_array().sum())
@@ -690,7 +675,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
     u, v = static.edge_u, static.edge_v
-    _, out_start, out_nbr = _orient(n, u, v, ranks[u] < ranks[v])
+    out_start, out_nbr = _orient(n, u, v, ranks[u] < ranks[v])
     return DegeneracyOrdering(ranks.tolist(), order.tolist(), k, out_start, out_nbr)
 
 
@@ -730,13 +715,7 @@ class GraphStats:
     sum_edge_degree: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "alpha": self.alpha,
-            "sigma_max": self.sigma_max,
-            "sum_edge_degree": self.sum_edge_degree,
-        }
+        return asdict(self)
 
 
 def graph_stats(

@@ -179,7 +179,8 @@ class TestQuery:
             ]
         )
         capsys.readouterr()
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["src", "dst", "t", "count", "universe_size"]
         assert rows[1] == ["1", "2", "10", "1", "2"]
         # the file holds exactly the --format csv report

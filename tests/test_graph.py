@@ -3,6 +3,7 @@
 import heapq
 import io
 import random
+import tracemalloc
 from itertools import chain
 from unittest import mock
 
@@ -178,6 +179,14 @@ PARSE_CASES = {
     "empty": b"",
     "only_blank": b"\n \n\t\n",
     "ties_keep_input_order": b"5 6 10\n1 2 10\n7 5 9\n",
+    "latin1_nbsp": b"1 2 3\xa0\n",
+    "latin1_next_line": b"1 2 3\x85\n",
+    "file_separator_only": b"\x1c\n",
+    "exponent": b"1e3 2 3\n",
+    "hex": b"0x10 2 3\n",
+    "nul_inside_field": b"1 2\x003\n",
+    "lone_cr_first": b"\r1 2 3\n",
+    "cr_before_crlf": b"1 2 3\r\r\n",
 }
 
 
@@ -217,56 +226,75 @@ def loop_outcomes(data: bytes):
     return by_bytes, by_file
 
 
-def assert_parse_matches_loop(data: bytes):
+def assert_parse_matches_loop(data: bytes, step: int = 5):
     by_bytes, by_file = loop_outcomes(data)
     assert parse_outcome(parse_edge_list, data) == by_bytes
     assert parse_outcome(parse_edge_list, io.BytesIO(data)) == by_file
-    assert parse_outcome(parse_edge_list, NonSeekable(data)) == by_file
-    assert parse_outcome(parse_edge_list, io.BufferedReader(NonSeekable(data))) == by_file
+    assert parse_outcome(parse_edge_list, NonSeekable(data, step)) == by_file
+    assert parse_outcome(parse_edge_list, io.BufferedReader(NonSeekable(data, step))) == by_file
+
+
+def refuse_line_loop(lines):
+    raise AssertionError("line loop called")
 
 
 class TestArrayParse:
-    """The chunked int64 parse of bytes and binary streams against the line
-    loop, which decides every input the array parse hands back."""
+    """The int64 parse of bytes and binary streams against the line loop,
+    which decides every input the array parse hands back. `step` is the
+    size of the non-seekable stream's short reads."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, folty.graph.CHUNK])
+    @pytest.mark.parametrize("step", [1, 7, 64, 1 << 16])
     @pytest.mark.parametrize("name", sorted(PARSE_CASES))
-    def test_matches_line_loop(self, monkeypatch, name, chunk):
-        monkeypatch.setattr(folty.graph, "CHUNK", chunk)
-        assert_parse_matches_loop(PARSE_CASES[name])
+    def test_matches_line_loop(self, name, step):
+        assert_parse_matches_loop(PARSE_CASES[name], step)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_error_after_many_clean_chunks(self, monkeypatch, chunk):
-        monkeypatch.setattr(folty.graph, "CHUNK", chunk)
+    @pytest.mark.parametrize("step", [1, 7, 64])
+    def test_error_after_many_clean_chunks(self, step):
         lines = [f"{i} {i + 1} {i * 7 % 13}" for i in range(200)]
         lines[150] = "150 151"
         data = ("\n".join(lines) + "\n").encode()
-        assert_parse_matches_loop(data)
+        assert_parse_matches_loop(data, step)
         with pytest.raises(ParseError) as err:
-            parse_edge_list(NonSeekable(data))
+            parse_edge_list(NonSeekable(data, step))
         assert err.value.lineno == 151
 
     def test_clean_input_skips_line_loop(self, monkeypatch):
-        def refuse(lines):
-            raise AssertionError("line loop called")
-
-        monkeypatch.setattr(folty.graph, "_parse_lines", refuse)
-        data = b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+1_0 -0 -9\n"
+        monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
+        data = b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+10 -0 -9\n"
         for source in (data, io.BytesIO(data), NonSeekable(data)):
             g = parse_edge_list(source)
             assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
             assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
 
-    def test_comment_lines_skip_line_loop(self, monkeypatch):
-        def refuse(lines):
-            raise AssertionError("line loop called")
+    def test_underscores_take_line_loop(self, monkeypatch):
+        data = b"1_000 2 3\n"
+        want = parse_outcome(folty.graph._parse_lines, data.splitlines())
+        calls = []
+        loop = folty.graph._parse_lines
+        monkeypatch.setattr(folty.graph, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+        assert parse_outcome(parse_edge_list, data) == want
+        assert calls == [1]
+        assert want == ("graph", [[1], [0], [3]], [2, 1000], 0)
 
-        monkeypatch.setattr(folty.graph, "_parse_lines", refuse)
+    def test_comment_lines_skip_line_loop(self, monkeypatch):
+        monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
         data = b"# src dst t\n1 2 3\n  # mid\n#4 5 6\n\t#\n4 5 6\n# \xc3\xa9\n# end"
         for source in (data, io.BytesIO(data), NonSeekable(data)):
             g = parse_edge_list(source)
             assert g.edge_lists == ([0, 2], [1, 3], [3, 6])
             assert g.orig == [1, 2, 4, 5]
+
+    def test_comment_removal_memory(self):
+        body = b"".join(b"%d %d %d\n" % (i, i + 1, i * 7) for i in range(60000))
+        data = b"# src dst t\n" + body
+        tracemalloc.start()
+        try:
+            kept = folty.graph._drop_comments(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept == body
+        assert peak < 3 * len(data)
 
     def test_ids_beyond_int64_kept_exact(self):
         g = parse_edge_list(PARSE_CASES["ids_from_2_63"])
@@ -300,14 +328,12 @@ class TestArrayParse:
         st.lists(st.sampled_from([" ", "  ", "\t", "\x0b"]), min_size=1),
         st.sampled_from(["\n", "\r\n", "\r"]),
         st.booleans(),
-        st.sampled_from([1, 3, 7, 64]),
     )
-    def test_line_soup_matches_line_loop(self, lines, seps, eol, final_eol, chunk):
+    def test_line_soup_matches_line_loop(self, lines, seps, eol, final_eol):
         text = eol.join(seps[i % len(seps)].join(fields) for i, fields in enumerate(lines))
         data = (text + (eol if final_eol else "")).encode("utf-8", "surrogateescape")
         data = data.replace("\xff".encode(), b"\xff")
-        with mock.patch.object(folty.graph, "CHUNK", chunk):
-            assert_parse_matches_loop(data)
+        assert_parse_matches_loop(data)
 
 
 class TestLayout:
@@ -604,6 +630,7 @@ class TestStats:
             "sigma_max": 1,
             "sum_edge_degree": 6,
         }
+        assert list(stats.as_dict()) == ["n", "m", "alpha", "sigma_max", "sum_edge_degree"]
 
     def test_empty(self):
         g = TemporalGraph.from_edges([])
