@@ -13,20 +13,24 @@ t <= t2 <= t3 <= t + delta. The counting is split into
 
 Both passes walk the same list of static triangles (a, b, c) with
 rank(a) < rank(b) < rank(c), enumerated once per ordering along the
-degeneracy orientation (DegeneracyOrdering.triangles). The low vertex a is
-the out-side witness for pairs {a,b} and {a,c}, and the in-side witness for
+degeneracy orientation and kept as the orientation entries (ab, ac, bc) of
+their edges (DegeneracyOrdering.triangle_entries). The low vertex a is the
+out-side witness for pairs {a,b} and {a,c}, and the in-side witness for
 pair {b,c}. Either way only the lists of pairs that touch a are expanded
 entry by entry.
 
 Both passes are vectorized over the graph's CSR pair layout. A job names its
 lists by pair id; every chained lookup is one np.searchsorted on the
-composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The passes
-slice the ordering's flat (a, b, c) arrays TRIANGLE_BLOCK triangles at a
-time into jobs, and jobs run in blocks of about BLOCK expanded entries, so
-temporaries stay small. The pair-id lookup and the block expansion are the
-graph layer's _find, _blocks and _entries, which its triangle listing uses
-too. Window checks compare t3 - t as an unsigned 64-bit difference, so
-timestamps at the int64 extremes and any delta are exact.
+composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The pair ids
+of x -> y and y -> x are found once per (graph, ordering) for each entry
+x -> y that a triangle uses (TemporalGraph.entry_pairs), so a triangle's
+six directed pair ids are gathers by its entries. The passes slice the
+entry columns TRIANGLE_BLOCK triangles at a time into jobs, and jobs run in
+blocks of about BLOCK expanded entries, so temporaries stay small. The
+block expansion is the graph layer's _blocks and _entries, which its
+triangle listing uses too. Window checks compare t3 - t as an unsigned
+64-bit difference, so timestamps at the int64 extremes and any delta are
+exact.
 
 The chains themselves do not depend on delta: only the final window check
 does. So one expansion serves every delta of a sweep (count_tables). The out
@@ -42,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .graph import DegeneracyOrdering, StaticGraph, TemporalGraph, build_static, degeneracy_order
-from .graph import _blocks, _entries, _find
+from .graph import _blocks, _entries
 
 # The passes do not use the stabbing tree; the name stays importable from
 # this module because the benchmark's tracer and its tests look it up here.
@@ -155,20 +159,19 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
 
 
 def _triangle_blocks(
-    ordering: DegeneracyOrdering, by_pair: bool = False
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The ordering's triangles as (a, b, c) arrays, TRIANGLE_BLOCK
-    triangles at a time; with by_pair, grouped by the static pair {b, c}."""
-    a, b, c = ordering.triangles()
+    g: TemporalGraph, ordering: DegeneracyOrdering, by_pair: bool = False
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The pair ids of each triangle's directed pairs (ab, ba, ac, ca, bc,
+    cb), -1 where a pair has no edge, TRIANGLE_BLOCK triangles at a time;
+    with by_pair, grouped by the static pair {b, c}. Each column is a
+    gather from g.entry_pairs by the triangles' orientation entries."""
+    fwd, bwd = g.entry_pairs(ordering)
+    entries = ordering.triangle_entries()
     order = ordering.pair_order() if by_pair else None
-    for lo in range(0, len(c), TRIANGLE_BLOCK):
+    for lo in range(0, len(entries[0]), TRIANGLE_BLOCK):
         idx = slice(lo, lo + TRIANGLE_BLOCK) if order is None else order[lo : lo + TRIANGLE_BLOCK]
-        yield a[idx], b[idx], c[idx]
-
-
-def _pair_ids(g: TemporalGraph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pair id of each directed pair (x[i], y[i]); -1 where it has no edge."""
-    return _find(g.pair_key, x * g.n + y)
+        ab, ac, bc = (column[idx] for column in entries)
+        yield fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]
 
 
 def out_pass(
@@ -203,10 +206,7 @@ def _out_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndar
     pending = 0
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for a, b, c in _triangle_blocks(ordering):
-        ab, ba, ac, ca, bc, cb = (
-            _pair_ids(g, x, y) for x, y in ((a, b), (b, a), (a, c), (c, a), (b, c), (c, b))
-        )
+    for ab, ba, ac, ca, bc, cb in _triangle_blocks(g, ordering):
         p1 = np.concatenate((ab, ba, ac, ca))
         p2 = np.concatenate((ac, bc, ab, cb))
         p3 = np.concatenate((bc, ac, cb, ab))
@@ -284,8 +284,7 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
     in_count = np.zeros((len(windows), g.m), dtype=np.int64)
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for a, b, c in _triangle_blocks(ordering, by_pair=True):
-        ba, ca, bc, cb = (_pair_ids(g, x, y) for x, y in ((b, a), (c, a), (b, c), (c, b)))
+    for _, ba, _, ca, bc, cb in _triangle_blocks(g, ordering, by_pair=True):
         pt = np.concatenate((bc, cb))
         p2 = np.concatenate((ba, ca))
         p3 = np.concatenate((ca, ba))
@@ -348,7 +347,7 @@ def count_tables(
     if ordering is None:
         ordering = degeneracy_order(static)
     lap = lap or (lambda phase: None)
-    ordering.triangles()
+    g.entry_pairs(ordering)
     ordering.pair_order()
     lap("triangles")
     group = max(1, KEY_CAP // max(g.m, 1))

@@ -18,7 +18,7 @@ decomposition in the style of Batagelj and Zaversnik), and the orientation
 it induces keeps every out-degree <= alpha.
 
 The array kernels of every layer live here once: _find (sorted-key lookup),
-_blocks and _entries (CSR rows in bounded blocks), _orient, and
+_blocks and _entries (CSR rows in bounded blocks), _orient and _csr, and
 _closed_wedges, which lists each triangle of an acyclic orientation once
 (Chiba and Nishizeki), for both the count passes and the common counts.
 """
@@ -113,6 +113,7 @@ class TemporalGraph:
         "_pairs",
         "_lists",
         "_common",
+        "_entry_pairs",
     )
 
     def __init__(
@@ -133,6 +134,7 @@ class TemporalGraph:
         self._pairs: Mapping[tuple[int, int], tuple[list[int], list[int]]] | None = None
         self._lists: tuple[list[int], list[int], list[int]] | None = None
         self._common: tuple[StaticGraph, np.ndarray] | None = None
+        self._entry_pairs: tuple[DegeneracyOrdering, np.ndarray, np.ndarray] | None = None
 
         if np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be non-decreasing in eid order")
@@ -233,6 +235,30 @@ class TemporalGraph:
         if self._common is None or self._common[0] is not static:
             self._common = (static, static.common_of(*np.divmod(self.pair_key, self.n)))
         return self._common[1]
+
+    def entry_pairs(self, ordering: "DegeneracyOrdering") -> tuple[np.ndarray, np.ndarray]:
+        """(fwd, bwd): the pair ids of x -> y and of y -> x for each entry
+        x -> y of the orientation of `ordering`, an ordering of this graph's
+        projection, indexed by entry; -1 where the pair has no edge or no
+        triangle uses the entry. Built on first use per ordering, by two
+        sorted-key lookups over the used entries. The entries ascend by
+        (x, y); the reverse keys are sorted first, since sorted queries
+        search faster."""
+        if self._entry_pairs is None or self._entry_pairs[0] is not ordering:
+            start, head = ordering.out_start, ordering.out_nbr
+            used = np.zeros(len(head), dtype=bool)
+            for column in ordering.triangle_entries():
+                used[column] = True
+            e = np.flatnonzero(used)
+            x, y = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(start))[e], head[e]
+            fwd = np.full(len(head), -1, dtype=np.int64)
+            bwd = fwd.copy()
+            fwd[e] = _find(self.pair_key, x * self.n + y)
+            back = y * self.n + x
+            order = np.argsort(back)
+            bwd[e[order]] = _find(self.pair_key, back[order])
+            self._entry_pairs = (ordering, fwd, bwd)
+        return self._entry_pairs[1:]
 
     def edge(self, eid: int) -> TemporalEdge:
         src, dst, ts = self.edge_lists
@@ -436,11 +462,16 @@ def _blocks(start: np.ndarray, rows: np.ndarray, cap: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
-def _orient(n: int, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point each edge {u[i], v[i]} from u[i] to v[i] where up[i], else the
-    other way, in CSR form: row x holds x's heads, ascending. Returns
-    (start, head)."""
-    tail, head = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
+def _orient(n: int, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The key tail * n + head of each edge {u[i], v[i]} pointed from u[i]
+    to v[i] where up[i], else the other way."""
+    return np.where(up, u, v) * n + np.where(up, v, u)
+
+
+def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The oriented edges of the ascending keys in CSR form: row x holds
+    x's heads, ascending. Returns (start, head)."""
+    tail, head = np.divmod(keys, n)
     return np.searchsorted(tail, np.arange(n + 1)), head
 
 
@@ -531,31 +562,29 @@ class StaticGraph:
         number of triangles on the edge.
 
         With the edges pointing to the higher (degree, id) endpoint, one
-        bincount credits each triangle of _closed_wedges to its three edges,
-        which are then found by edge key. An edge x -> y expands
+        bincount credits each triangle of _closed_wedges to its three
+        entries, and the argsort that put the edges in entry order scatters
+        the credits back to edge order. An edge x -> y expands
         outdeg(x) <= min(deg x, deg y) out-neighbors, so there are at most
         sum_edge_degree lookups.
         """
         if self._common is None:
             u, v = self.edge_u, self.edge_v
             deg = np.diff(self.adj_start)
-            start, head = _orient(self.n, u, v, deg[u] <= deg[v])
-            tail = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(start))
+            keys = _orient(self.n, u, v, deg[u] <= deg[v])
+            order = np.argsort(keys)
             self._common = np.empty(len(u), dtype=np.int64)
-            self._common[self._edge_index(tail, head)] = np.bincount(
-                np.concatenate(_closed_wedges(start, head)), minlength=len(u)
+            self._common[order] = np.bincount(
+                np.concatenate(_closed_wedges(*_csr(self.n, keys[order]))), minlength=len(u)
             )
         return self._common
 
     def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}."""
-        return self.common_counts()[self._edge_index(u, v)]
-
-    def _edge_index(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Index in the edge columns of each static edge {u[i], v[i]}, found
-        by sorted edge key."""
         n = self.n
-        return np.searchsorted(self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v))
+        return self.common_counts()[
+            np.searchsorted(self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v))
+        ]
 
     def sum_edge_degree(self) -> int:
         return int(self._edge_degree_array().sum())
@@ -581,7 +610,9 @@ class DegeneracyOrdering:
     same as a list of lists, built on first use.
     """
 
-    __slots__ = ("pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangles", "_pair_order")
+    __slots__ = (
+        "pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangle_entries", "_triangles", "_pair_order"
+    )
 
     def __init__(self, pi: list[int], order: list[int], alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
         self.pi = pi
@@ -590,6 +621,7 @@ class DegeneracyOrdering:
         self.out_start = out_start
         self.out_nbr = out_nbr
         self._out_adj: list[list[int]] | None = None
+        self._triangle_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._triangles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pair_order: np.ndarray | None = None
 
@@ -599,27 +631,35 @@ class DegeneracyOrdering:
             self._out_adj = _csr_lists(self.out_start, self.out_nbr)
         return self._out_adj
 
-    def triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every static triangle once, as int64 columns (a, b, c) with
-        rank(a) < rank(b) < rank(c), ascending by (a, b, c); built on first
-        use.
+    def triangle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every static triangle once, as the orientation entries (ab, ac,
+        bc) of its edges a -> b, a -> c and b -> c, rank(a) < rank(b) <
+        rank(c), ascending by (ab, ac); built on first use.
 
         The triangles of the orientation by _closed_wedges: for each oriented
         edge (a, b), c runs over the out-neighbors of a and is kept where
         b -> c is an oriented edge, sum of outdeg^2 <= alpha * m lookups.
         """
+        if self._triangle_entries is None:
+            self._triangle_entries = _closed_wedges(self.out_start, self.out_nbr)
+        return self._triangle_entries
+
+    def triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The triangles of triangle_entries as int64 vertex columns (a, b,
+        c), in the same order, which ascends by (a, b, c); built on first
+        use."""
         if self._triangles is None:
-            ab, ac, _ = _closed_wedges(self.out_start, self.out_nbr)
+            ab, ac, _ = self.triangle_entries()
             tail = np.repeat(np.arange(len(self.pi), dtype=np.int64), np.diff(self.out_start))
             self._triangles = (tail[ab], self.out_nbr[ab], self.out_nbr[ac])
         return self._triangles
 
     def pair_order(self) -> np.ndarray:
-        """Indices that sort `triangles` by static pair {b, c}, ties kept in
-        triangle order; built on first use."""
+        """Indices that sort the triangles by static pair {b, c}, ties kept
+        in triangle order; built on first use. Entries ascend by (tail,
+        head), so this is a stable sort of the bc entries."""
         if self._pair_order is None:
-            _, b, c = self.triangles()
-            self._pair_order = np.argsort(b * len(self.pi) + c, kind="stable")
+            self._pair_order = np.argsort(self.triangle_entries()[2], kind="stable")
         return self._pair_order
 
 
@@ -675,7 +715,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
     u, v = static.edge_u, static.edge_v
-    out_start, out_nbr = _orient(n, u, v, ranks[u] < ranks[v])
+    out_start, out_nbr = _csr(n, np.sort(_orient(n, u, v, ranks[u] < ranks[v])))
     return DegeneracyOrdering(ranks.tolist(), order.tolist(), k, out_start, out_nbr)
 
 

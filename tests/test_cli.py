@@ -314,13 +314,13 @@ class TestSweep:
         import folty.graph
 
         builds = []
-        enumerate_triangles = folty.graph.DegeneracyOrdering.triangles
+        enumerate_triangles = folty.graph.DegeneracyOrdering.triangle_entries
 
         def counting(self):
-            builds.append(self._triangles is None)
+            builds.append(self._triangle_entries is None)
             return enumerate_triangles(self)
 
-        monkeypatch.setattr(folty.graph.DegeneracyOrdering, "triangles", counting)
+        monkeypatch.setattr(folty.graph.DegeneracyOrdering, "triangle_entries", counting)
         run_sweep(richer_path, "eea", deltas=[10, 60, 300], taus=[_tau("0.5")])
         assert builds.count(True) == 1 and len(builds) > 3
 

@@ -331,3 +331,69 @@ def test_count_table_arrays_and_lazy_lists():
     assert (table.in_count, table.out_count, table.delta) == ([1, 0], [2, 3], 5)
     assert table == CountTable(np.array([1, 0]), np.array([2, 3]), 5)
     assert table != CountTable([1, 0], [2, 3], 6)
+
+
+# -- one pair-id map per (graph, ordering) --------------------------------------
+
+
+def test_ordering_shared_by_graphs_in_alternation():
+    """Graphs with one static projection share its ordering; the pair-id
+    map each builds for it stays its own, so calls in alternation give each
+    graph its fresh-ordering counts."""
+    rng = random.Random(0xD1FD)
+    differ = False
+    for _ in range(10):
+        n = rng.randint(3, 10)
+        edges = random_edges(rng, n, rng.randint(3, 80), list(range(30)))
+        edges += [(v, u, t + 1) for u, v, t in rng.sample(edges, len(edges) // 2)]
+        both = {(u, v) for u, v, _ in edges} & {(v, u) for u, v, _ in edges}
+        variants = [
+            edges,
+            [(v, u, t) for u, v, t in edges],  # every edge reversed
+            [(u, v, t) for u, v, t in edges if u < v or (u, v) not in both],  # one direction of reciprocal pairs
+        ]
+        graphs = [TemporalGraph.from_edges(e) for e in variants]
+        static = build_static(graphs[0])
+        for g in graphs[1:]:
+            s = build_static(g)
+            assert np.array_equal(s.adj_start, static.adj_start) and np.array_equal(s.adj_nbr, static.adj_nbr)
+        ordering = degeneracy_order(static)
+        want = {
+            (i, d): (compute_counts(g, d), oracle_counts(g, d, static).count)
+            for i, g in enumerate(graphs) for d in (0, 5, 2**62)
+        }
+        for _ in range(2):
+            for (i, d), (fresh, oracle) in want.items():
+                table = compute_counts(graphs[i], d, static, ordering)
+                assert (table.in_count, table.out_count) == (fresh.in_count, fresh.out_count), (i, d)
+                assert table.totals() == oracle, (i, d)
+        differ |= any(want[0, d][1] != want[1, d][1] for d in (0, 5, 2**62))
+    assert differ  # the variants are told apart by their counts
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_repeated_counts_on_one_ordering(monkeypatch, block):
+    """Many compute_counts calls on one ordering reuse its pair-id map and
+    keep matching the oracle, for one-direction pairs and triangle-free
+    graphs too."""
+    monkeypatch.setattr(folty.engine, "TRIANGLE_BLOCK", block)
+    rng = random.Random(0xD1FE + block)
+    cycle = [(i, (i + 1) % 6, t) for i in range(6) for t in (i, i + 3)]
+    graphs = [TemporalGraph.from_edges(cycle)]
+    for _ in range(6):
+        edges = random_edges(rng, rng.randint(3, 10), rng.randint(3, 100), list(range(30)))
+        graphs.append(TemporalGraph.from_edges(edges))
+        graphs.append(TemporalGraph.from_edges([(min(u, v), max(u, v), t) for u, v, t in edges]))
+    deltas = [0, 1, 5, 20, 2**62]
+    for g in graphs:
+        static = build_static(g)
+        ordering = degeneracy_order(static)
+        want = {d: oracle_counts(g, d, static).count for d in deltas}
+        first = compute_counts(g, deltas[0], static, ordering)
+        pair_map = g.entry_pairs(ordering)
+        for d in deltas * 2 + rng.sample(deltas, len(deltas)):
+            table = compute_counts(g, d, static, ordering)
+            assert table.totals() == want[d], d
+        assert compute_counts(g, deltas[0], static, ordering) == first
+        assert all(x is y for x, y in zip(g.entry_pairs(ordering), pair_map))
+    assert not any(compute_counts(graphs[0], 2**62).totals())

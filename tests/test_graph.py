@@ -561,9 +561,56 @@ class TestTriangles:
 
     def test_built_once_per_ordering(self):
         o = degeneracy_order(static_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]))
+        assert o.triangle_entries() is o.triangle_entries()
         assert o.triangles() is o.triangles()
         assert o.pair_order() is o.pair_order()
         assert len(o.triangles()[0]) == 220
+
+    def test_entries_are_the_triangle_edges(self):
+        for s in static_corpus(68):
+            o = degeneracy_order(s)
+            tail = np.repeat(np.arange(s.n), np.diff(o.out_start))
+            ab, ac, bc = o.triangle_entries()
+            a, b, c = o.triangles()
+            for entry, x, y in ((ab, a, b), (ac, a, c), (bc, b, c)):
+                assert tail[entry].tolist() == x.tolist()
+                assert o.out_nbr[entry].tolist() == y.tolist()
+            assert o.pair_order().tolist() == np.argsort(b * s.n + c, kind="stable").tolist()
+
+
+class TestEntryPairs:
+    """TemporalGraph.entry_pairs: the pair ids of both directions of each
+    oriented edge a triangle uses, cached per ordering."""
+
+    def test_matches_pair_keys(self):
+        rng = random.Random(69)
+        for _ in range(30):
+            g = random_temporal_graph(rng, max_vertices=14, max_edges=90)
+            o = degeneracy_order(build_static(g))
+            fwd, bwd = g.entry_pairs(o)
+            used = set(np.concatenate(o.triangle_entries()).tolist())
+            pid = {divmod(key, g.n): p for p, key in enumerate(g.pair_key.tolist())}
+            for e, (x, y) in enumerate((u, v) for u in range(g.n) for v in o.out_adj[u]):
+                want = (pid.get((x, y), -1), pid.get((y, x), -1)) if e in used else (-1, -1)
+                assert (fwd[e], bwd[e]) == want
+            assert fwd.dtype == bwd.dtype == np.int64
+
+    def test_cached_per_ordering(self):
+        g = TemporalGraph.from_edges([(1, 2, 1), (1, 3, 2), (3, 2, 3), (2, 1, 4)])
+        s = build_static(g)
+        o = degeneracy_order(s)
+        first = g.entry_pairs(o)
+        assert all(x is y for x, y in zip(g.entry_pairs(o), first))
+        other = degeneracy_order(s)
+        again = g.entry_pairs(other)
+        assert again[0] is not first[0]
+        assert all(np.array_equal(x, y) for x, y in zip(again, first))
+
+    def test_triangle_free_and_empty(self):
+        for g in (TemporalGraph.from_edges([]), TemporalGraph.from_edges([(1, 2, 1), (2, 3, 2), (3, 4, 3)])):
+            o = degeneracy_order(build_static(g))
+            fwd, bwd = g.entry_pairs(o)
+            assert fwd.tolist() == bwd.tolist() == [-1] * len(o.out_nbr)
 
 
 class TestDegeneracy:
