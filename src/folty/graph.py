@@ -11,7 +11,10 @@ declines, so every ParseError names its line.
 Vertex ids are remapped to dense [0, n) by ascending original id, through a
 rank table when the ids are dense enough; original ids are kept for output.
 Edges are sorted by (timestamp, input order) and the position in that order
-is the edge id used by every per-edge array.
+is the edge id used by every per-edge array. Input already in time order is
+kept as it is. Both that sort and the pair order are stable sorts made of
+unstable ones (_stable_order): an argsort, then one in-place sort of the
+unique composite keys rank * m + index, which puts ties back in index order.
 
 The degeneracy order peels the static projection in level batches (core
 decomposition in the style of Batagelj and Zaversnik), and the orientation
@@ -29,7 +32,7 @@ import io
 import warnings
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -139,10 +142,8 @@ class TemporalGraph:
         if np.any(t[1:] < t[:-1]):
             raise ValueError("timestamps must be non-decreasing in eid order")
         key = self.src * self.n + self.dst
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        self.pair_key = key[starts]
+        order, pid, starts = _stable_order(key)
+        self.pair_key = key[order[starts]]
         self.pair_start = np.append(starts, self.m)
         self.pair_eid = order
         self.pair_ts = t[order]
@@ -150,8 +151,9 @@ class TemporalGraph:
         new[1:] = t[1:] != t[:-1]
         self.t_distinct = t[new]
         rank = np.cumsum(new) - 1
-        pid = np.repeat(np.arange(len(starts), dtype=np.int64), np.diff(self.pair_start))
-        self.pair_comp = pid * len(self.t_distinct) + rank[order]
+        pid *= len(self.t_distinct)
+        pid += rank[order]
+        self.pair_comp = pid
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
@@ -192,8 +194,9 @@ class TemporalGraph:
         """Remap loop-free int64 edge columns to dense ids by ascending id
         (through an int32 rank table when the ids are dense, see
         ID_TABLE_RATIO; else by sort and searchsorted), sort them by t
-        (stable: input order breaks ties), construct. `labels`, if given, are
-        the original ids of the values 0..n-1 in u and v."""
+        (stable: input order breaks ties; skipped when t is already in
+        order), construct. `labels`, if given, are the original ids of the
+        values 0..n-1 in u and v."""
         m = len(t)
         lo = min(int(u.min()), int(v.min())) if m else 0
         span = max(int(u.max()), int(v.max())) + 1 if m else 0
@@ -210,8 +213,11 @@ class TemporalGraph:
             new[1:] = ids[1:] != ids[:-1]
             ids = ids[new]
             u, v = np.searchsorted(ids, u), np.searchsorted(ids, v)
-        order = np.argsort(t, kind="stable")
-        u, v, t = u[order], v[order], t[order]
+        if np.any(t[1:] < t[:-1]):
+            order = _stable_order(t)[0]
+            u, v, t = u[order], v[order], t[order]
+        else:
+            t = t.copy()  # the graph owns its ts, as a view of the caller's block would pin it
         orig = ids.tolist() if labels is None else labels
         return cls(u, v, t, orig, dropped)
 
@@ -260,15 +266,6 @@ class TemporalGraph:
             self._entry_pairs = (ordering, fwd, bwd)
         return self._entry_pairs[1:]
 
-    def edge(self, eid: int) -> TemporalEdge:
-        src, dst, ts = self.edge_lists
-        return TemporalEdge(src[eid], dst[eid], ts[eid], eid)
-
-    def iter_edges(self) -> Iterator[TemporalEdge]:
-        src, dst, ts = self.edge_lists
-        for eid in range(self.m):
-            yield TemporalEdge(src[eid], dst[eid], ts[eid], eid)
-
     @property
     def pairs(self) -> Mapping[tuple[int, int], tuple[list[int], list[int]]]:
         """(x, y) -> (eids, timestamps) for every directed pair with an edge."""
@@ -292,14 +289,18 @@ class TemporalGraph:
         return len(self.pair(x, y)[0])
 
     def sigma_max(self) -> int:
-        """Max total multiplicity sigma(u,v) + sigma(v,u) over unordered pairs."""
+        """Max total multiplicity sigma(u,v) + sigma(v,u) over unordered pairs.
+        The reverse keys are sorted before the lookup, since sorted queries
+        search faster; only the max is kept, so nothing is scattered back."""
         keys = self.pair_key
         if not len(keys):
             return 0
         sizes = np.diff(self.pair_start)
         x, y = np.divmod(keys, self.n)
-        j = _find(keys, y * self.n + x)
-        return int((sizes + np.where(j >= 0, sizes[j], 0)).max())
+        back = y * self.n + x
+        order = np.argsort(back)
+        j = _find(keys, back[order])
+        return int((sizes[order] + np.where(j >= 0, sizes[j], 0)).max())
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
@@ -338,7 +339,7 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
     or None if a line needs the line loop."""
     # A lone '\r' ends a line for bytes.splitlines but not in a file, and
     # loadtxt rejects one inside a line only as "currently not supported".
-    if data.count(b"\r") != data.count(b"\r\n"):
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     if b"#" in data:
         data = _drop_comments(data)
@@ -353,10 +354,18 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
             rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
         except (ValueError, Warning):
             return None
-    if rows.shape[1] != 3 or np.any(rows[:, :2] < 0):
+    if rows.shape[1] != 3:
         return None
-    keep = rows[:, 0] != rows[:, 1]
-    return rows[keep, 0], rows[keep, 1], rows[keep, 2], len(keep) - int(keep.sum())
+    block = np.ascontiguousarray(rows.T)  # one pass, not a strided copy per column
+    del rows
+    if block[:2].min() < 0:
+        return None
+    keep = block[0] != block[1]
+    dropped = len(keep) - int(np.count_nonzero(keep))
+    if dropped:
+        block = block[:, keep]
+    u, v, t = block
+    return u, v, t, dropped
 
 
 def _drop_comments(data: bytes) -> bytes | None:
@@ -432,6 +441,34 @@ def _csr_lists(start: np.ndarray, items: np.ndarray) -> list[list[int]]:
     values = items.tolist()
     bounds = start.tolist()
     return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, rank, starts): the permutation np.argsort(keys,
+    kind="stable") gives, the dense rank of each keys[order] among the
+    distinct keys, and the positions in that order where a new key starts,
+    from unstable sorts only.
+
+    After an unstable argsort, the composite rank * m + index is unique per
+    entry and below m * m, so one in-place sort of it orders ties by index.
+    """
+    m = len(keys)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(m, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    rank = np.cumsum(new)
+    rank -= 1
+    starts = np.flatnonzero(new)
+    if m * m > _I64_MAX:  # the composite would overflow int64 (m > 3.03e9)
+        return np.argsort(keys, kind="stable"), rank, starts
+    rank *= m
+    rank += order
+    rank.sort()
+    np.remainder(rank, m, out=order)
+    rank //= m
+    return order, rank, starts
 
 
 def _find(keys: np.ndarray, q: np.ndarray) -> np.ndarray:

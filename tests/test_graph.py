@@ -395,6 +395,136 @@ class TestLayout:
             assert np.all(np.diff(g.pair_comp) >= 0)
 
 
+def stable_order_reference(keys):
+    """_stable_order by definition: the stable argsort, the dense rank of
+    each sorted key and where each run of equal keys starts."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    distinct = sorted(set(keys.tolist()))
+    rank = [distinct.index(k) for k in ordered.tolist()]
+    starts = [i for i in range(len(ordered)) if i == 0 or ordered[i] != ordered[i - 1]]
+    return order.tolist(), rank, starts
+
+
+I64 = np.iinfo(np.int64)
+STABLE_ORDER_CASES = {
+    "empty": [],
+    "one": [5],
+    "all-equal": [3] * 40,
+    "sorted": list(range(-20, 20)),
+    "reverse": list(range(20, -20, -1)),
+    "two": [1, 0],
+    "many-ties": [(i * 7) % 5 for i in range(60)],
+    "int64-extremes": [I64.max, I64.min, 0, I64.min, I64.max, -1, I64.max, I64.min],
+}
+
+
+class TestStableOrder:
+    """graph._stable_order, built from unstable sorts, against the stable
+    argsort."""
+
+    @pytest.mark.parametrize("name", sorted(STABLE_ORDER_CASES))
+    def test_matches_stable_argsort(self, name):
+        keys = np.array(STABLE_ORDER_CASES[name], dtype=np.int64)
+        order, rank, starts = folty.graph._stable_order(keys)
+        assert (order.tolist(), rank.tolist(), starts.tolist()) == stable_order_reference(keys)
+        assert order.dtype == rank.dtype == np.int64
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=-4, max_value=4) | st.sampled_from([I64.min, I64.max]), max_size=80))
+    def test_matches_stable_argsort_random(self, values):
+        keys = np.array(values, dtype=np.int64)
+        order, rank, starts = folty.graph._stable_order(keys)
+        assert (order.tolist(), rank.tolist(), starts.tolist()) == stable_order_reference(keys)
+
+
+def reference_graph(edges):
+    """The graph arrays of edge triples as the stable argsorts define them:
+    self-loops dropped, ids ranked, edges by (t, input order), pairs by
+    (key, eid)."""
+    kept = [e for e in edges if e[0] != e[1]]
+    orig = sorted({x for u, v, _ in kept for x in (u, v)})
+    rank = {x: i for i, x in enumerate(orig)}
+    n = len(orig)
+    u = np.array([rank[e[0]] for e in kept], dtype=np.int64)
+    v = np.array([rank[e[1]] for e in kept], dtype=np.int64)
+    t = np.array([e[2] for e in kept], dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    u, v, t = u[order], v[order], t[order]
+    key = u * n + v
+    pair_eid = np.argsort(key, kind="stable")
+    pair_key, pair_start = np.unique(key[pair_eid], return_index=True)
+    t_distinct, t_rank = np.unique(t, return_inverse=True)
+    pid = np.repeat(np.arange(len(pair_key)), np.diff(np.append(pair_start, len(t))))
+    return {
+        "src": u,
+        "dst": v,
+        "ts": t,
+        "pair_key": pair_key,
+        "pair_start": np.append(pair_start, len(t)),
+        "pair_eid": pair_eid,
+        "pair_ts": t[pair_eid],
+        "t_distinct": t_distinct,
+        "pair_comp": pid * len(t_distinct) + t_rank[pair_eid],
+        "orig": orig,
+        "self_loops_dropped": len(edges) - len(kept),
+    }
+
+
+GRAPH_ARRAYS = ("src", "dst", "ts", "pair_key", "pair_start", "pair_eid", "pair_ts", "t_distinct", "pair_comp")
+
+
+def graph_arrays(g):
+    assert all(getattr(g, name).dtype == np.int64 for name in GRAPH_ARRAYS)
+    got = {name: getattr(g, name).tolist() for name in GRAPH_ARRAYS}
+    return {**got, "orig": g.orig, "self_loops_dropped": g.self_loops_dropped}
+
+
+def build_corpus():
+    """Edge triples whose builds take every branch of the time order, the
+    pair order and the id remap."""
+    rng = random.Random(91)
+    base = [(rng.randrange(12), rng.randrange(12), rng.randrange(6)) for _ in range(150)]
+    by_time = sorted(base, key=lambda e: e[2])
+    yield "duplicates-and-loops", base + base[:40] + [(3, 3, 1), (7, 7, 0)]
+    yield "sorted", by_time
+    yield "reverse", by_time[::-1]
+    yield "all-equal", [(u, v, 9) for u, v, _ in base]
+    yield "int64-extremes", [(u, v, (I64.min, I64.max, 0)[t % 3]) for u, v, t in base]
+    sparse = rng.sample(range(10**12), 20)
+    yield "sparse-ids", [(sparse[u], sparse[v + 8], t) for u, v, t in base]
+
+
+class TestBuildOrders:
+    """Every graph array against the stable argsorts, through the array
+    parse, the line loop and from_edges, and with either id remap."""
+
+    @pytest.mark.parametrize("ratio", [0, 10**9])
+    @pytest.mark.parametrize("name,edges", list(build_corpus()))
+    def test_arrays_match_stable_argsorts(self, monkeypatch, ratio, name, edges):
+        monkeypatch.setattr(folty.graph, "ID_TABLE_RATIO", ratio)
+        want = {k: (v if isinstance(v, (int, list)) else v.tolist()) for k, v in reference_graph(edges).items()}
+        data = "".join(f"{u} {v} {t}\n" for u, v, t in edges).encode()
+        for g in (parse_edge_list(data), folty.graph._parse_lines(data.splitlines()), TemporalGraph.from_edges(edges)):
+            assert graph_arrays(g) == want
+
+    def test_time_sorted_input_skips_the_sort(self):
+        by_time = b"1 2 5\n2 3 5\n3 1 7\n1 2 9\n"
+        shuffled = b"3 1 7\n1 2 5\n1 2 9\n2 3 5\n"
+        with mock.patch.object(folty.graph, "_stable_order", wraps=folty.graph._stable_order) as spy:
+            g = parse_edge_list(by_time)
+            assert spy.call_count == 1  # the pair order only
+            assert parse_edge_list(shuffled).ts.tolist() == g.ts.tolist()
+            assert spy.call_count == 3
+
+    @pytest.mark.parametrize("data", [b"1 2 5\n2 3 6\n", b"2 3 6\n1 2 5\n", b"1 2 5\n4 4 5\n2 3 6\n"])
+    def test_columns_own_their_memory(self, data):
+        """No graph column is a view that keeps the parse's (3, m) block alive."""
+        g = parse_edge_list(data)
+        for name in ("src", "dst", "ts", "pair_eid", "pair_ts", "pair_comp"):
+            assert getattr(g, name).base is None, name
+
+
 class TestStatic:
     def test_two_direction_pair_is_one_static_edge(self):
         g = TemporalGraph.from_edges([(1, 2, 10), (2, 1, 20)])
@@ -694,6 +824,16 @@ class TestStats:
     def test_sigma_max_counts_both_directions(self):
         g = TemporalGraph.from_edges([(1, 2, 1), (2, 1, 2), (2, 1, 3), (3, 4, 1)])
         assert g.sigma_max() == 3
+
+    def test_sigma_max_reciprocal_pairs_of_unequal_multiplicity(self):
+        """Reverse keys that sort in another order than the pairs: each pair
+        must meet its own reverse pair's multiplicity."""
+        mult = {(0, 9): 1, (9, 0): 2, (1, 2): 4, (2, 1): 1, (8, 3): 3, (3, 8): 2, (5, 4): 1, (6, 7): 6}
+        edges = [(x, y, t) for (x, y), k in mult.items() for t in range(k)]
+        g = TemporalGraph.from_edges(edges)
+        assert g.sigma_max() == 6
+        g = TemporalGraph.from_edges([e for e in edges if e[:2] != (6, 7)])
+        assert g.sigma_max() == 5
 
 
 def heap_peel_alpha(s):
