@@ -7,8 +7,8 @@ window delta (edges (u, w, t2) and (v, w, t3) with t <= t2 <= t3 <= t + delta).
 
 Engines:
   * ``compute_counts`` splits the work by a degeneracy orientation into an
-    out-neighbor pass (chained searches) and an in-neighbor pass (witness
-    intervals merged into disjoint runs, counted per edge), both vectorized
+    out-neighbor pass (chained searches) and an in-neighbor pass (each
+    witness entry's disjoint range of times, counted per edge), both vectorized
     over the graph's CSR pair layout. ``count_tables`` counts several deltas
     from one expansion; ``compute_counts`` is its one-delta case.
   * ``practical_counts`` is a simpler baseline that walks every static

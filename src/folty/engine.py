@@ -7,9 +7,9 @@ t <= t2 <= t3 <= t + delta. The counting is split into
 
   out_count[e]  closing neighbors w with rank(w) > rank(s), found by chained
                 searches over the lists incident to s;
-  in_count[e]   closing neighbors with rank(w) < rank(s), found by turning
-                each w's evidence into intervals of t, merging them into
-                disjoint runs, and counting the runs that contain e's t.
+  in_count[e]   closing neighbors with rank(w) < rank(s), found by giving
+                each entry of w's evidence its own disjoint range of t and
+                counting the ranges that contain e's t.
 
 Both passes walk the same list of static triangles (a, b, c) with
 rank(a) < rank(b) < rank(c), enumerated once per ordering along the
@@ -36,7 +36,7 @@ The chains themselves do not depend on delta: only the final window check
 does. So one expansion serves every delta of a sweep (count_tables). The out
 side buckets each hit's window t3 - t by the sorted windows and takes a
 cumulative sum over them; the in side finds its chains once per block and
-builds the runs per window. A single delta is the one-window case.
+builds the ranges per window. A single delta is the one-window case.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ TRIANGLE_BLOCK = 2048
 #: Expanded list entries per vectorized block (a block may exceed it by the
 #: size of its last list, since one list is never split).
 BLOCK = 8192
-#: Out-side hits collected (16 bytes each) before one bincount folds them
-#: into the count table, and the most table cells (m per window, 8 bytes
-#: each) one expansion fills: more windows than KEY_CAP // m run as separate
-#: expansions of at most that many.
+#: Out-side hits or in-side ranges (16 bytes each) collected before one fold
+#: credits them to the count table, and the most table cells (m per window,
+#: 8 bytes each) one expansion fills: more windows than KEY_CAP // m run as
+#: separate expansions of at most that many.
 KEY_CAP = 1 << 22
 
 _SIGN = np.uint64(1 << 63)
@@ -158,19 +158,15 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
     return np.where(d > u ^ _SIGN, _I64_MIN, (u - d).view(np.int64))
 
 
-def _triangle_blocks(
-    g: TemporalGraph, ordering: DegeneracyOrdering, by_pair: bool = False
-) -> Iterator[tuple[np.ndarray, ...]]:
+def _triangle_blocks(g: TemporalGraph, ordering: DegeneracyOrdering) -> Iterator[tuple[np.ndarray, ...]]:
     """The pair ids of each triangle's directed pairs (ab, ba, ac, ca, bc,
-    cb), -1 where a pair has no edge, TRIANGLE_BLOCK triangles at a time;
-    with by_pair, grouped by the static pair {b, c}. Each column is a
-    gather from g.entry_pairs by the triangles' orientation entries."""
+    cb), -1 where a pair has no edge, TRIANGLE_BLOCK triangles at a time.
+    Each column is a gather from g.entry_pairs by the triangles' orientation
+    entries."""
     fwd, bwd = g.entry_pairs(ordering)
     entries = ordering.triangle_entries()
-    order = ordering.pair_order() if by_pair else None
     for lo in range(0, len(entries[0]), TRIANGLE_BLOCK):
-        idx = slice(lo, lo + TRIANGLE_BLOCK) if order is None else order[lo : lo + TRIANGLE_BLOCK]
-        ab, ac, bc = (column[idx] for column in entries)
+        ab, ac, bc = (column[lo : lo + TRIANGLE_BLOCK] for column in entries)
         yield fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]
 
 
@@ -266,63 +262,79 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
 
     Each triangle (a, b, c) gives the target pair (b, c) the witness a, with
     L2 = E_ba and L3 = E_ca, and the target (c, b) the same with the lists
-    swapped. Every L2 entry f whose first L3 entry at or after t(f) lies
-    within the window d contributes the interval [t3 - d, t(f)]: exactly the
-    t with t <= t(f) <= t3 <= t + d. One witness's intervals ascend in both
-    ends, so one pass merges them into disjoint runs, and the target edge at
-    t gains #(runs with lo <= t) - #(runs with hi < t), which is the number
-    of witnesses whose runs contain t.
+    swapped. The first L3 entry at or after an L2 entry f, at t3, gets no
+    earlier as f moves later. So a target edge at t has the witness iff the
+    first f at or after t, the one with t(prev f) < t <= t(f), has
+    t3 - d <= t: each f credits its own range of target times, (t(prev f),
+    t(f)] cut below at t3 - d. One job's ranges are disjoint, and an f at
+    the time of the entry before it in L2 has an empty one.
 
-    Triangles and jobs are grouped by target pair, so a target's edges are
-    looked up once per block its jobs fall in. The chains (f, t3) and the
-    target lookups do not depend on the window and are found once per block;
-    the runs are built per window. Runs live in rank space: lo is the number
-    of distinct timestamps below t3 - d, hi the rank of t(f), both offset by
-    target pair id * R as in pair_comp, so the targets of a block share one
-    pair of sorted arrays.
+    A range is [lo, hi) in the key space of pair_comp, offset to the target
+    pair: hi is the key of f plus one, lo the larger of rank(prev f) + 1 and
+    the rank of the first timestamp at or after t3 - d. The chains (f, t3)
+    do not depend on the window; the ranges are built per window, largest
+    first, since each smaller window keeps a subset of them. _fold_ranges
+    credits them to the target edges.
     """
     in_count = np.zeros((len(windows), g.m), dtype=np.int64)
+    los: list[list[np.ndarray]] = [[] for _ in windows]
+    his: list[list[np.ndarray]] = [[] for _ in windows]
+    pending = 0
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for _, ba, _, ca, bc, cb in _triangle_blocks(g, ordering, by_pair=True):
+    for _, ba, _, ca, bc, cb in _triangle_blocks(g, ordering):
         pt = np.concatenate((bc, cb))
         p2 = np.concatenate((ba, ca))
         p3 = np.concatenate((ca, ba))
         keep = (pt >= 0) & (p2 >= 0) & (p3 >= 0)
-        order = np.argsort(pt[keep], kind="stable")
-        pt, p2, p3 = pt[keep][order], p2[keep][order], p3[keep][order]
+        pt, p2, p3 = pt[keep], p2[keep], p3[keep]
         for block in _blocks(start, p2, BLOCK):
             i, job = _entries(start, p2[block])
             q2, q3 = p2[block][job], p3[block][job]
             k = np.searchsorted(comp, comp[i] + (q3 - q2) * r)
-            hit = k < start[q3 + 1]
-            i, k, job, q2 = i[hit], k[hit], job[hit], q2[hit]
+            head = i == start[q2]
+            # An entry at the time of the one before it has an empty range.
+            hit = (k < start[q3 + 1]) & (head | (comp[i - 1] != comp[i]))
+            i, k, job, head, q2 = i[hit], k[hit], job[hit], head[hit], q2[hit]
             span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
             hit = span <= windows[-1]
-            i, t3, job, q2, span = i[hit], ts[k[hit]], job[hit], q2[hit], span[hit]
-            if not len(i):
-                continue
-            hi = comp[i] - q2 * r
-            target = pt[block][job]
-            # Targets ascend with their jobs: look each up once.
-            e, _ = _entries(start, target[np.diff(target, prepend=-1) != 0])
-            q, rows = comp[e], g.pair_eid[e]
-            base = target * r
+            i, t3, job, head, q2, span = i[hit], ts[k[hit]], job[hit], head[hit], q2[hit], span[hit]
+            base = pt[block][job] * r
+            hi = comp[i] - q2 * r + base + 1
+            floor = np.where(head, base, comp[i - 1] - q2 * r + base + 1)
             # Largest window first: each smaller one keeps a subset.
             for j in range(len(windows) - 1, -1, -1):
-                lo = np.searchsorted(g.t_distinct, _minus(t3, windows[j]))
-                first = np.ones(len(job), dtype=bool)
-                first[1:] = (job[1:] != job[:-1]) | (lo[1:] > hi[:-1])
-                last = np.append(first[1:], True)
-                lo_keys = np.sort((base + lo)[first])
-                hi_keys = np.sort((base + hi)[last])
-                in_count[j, rows] += np.searchsorted(lo_keys, q, "right") - np.searchsorted(hi_keys, q)
+                los[j].append(np.maximum(floor, base + np.searchsorted(g.t_distinct, _minus(t3, windows[j]))))
+                his[j].append(hi)
+                pending += len(hi)
                 if j:
                     sel = span <= windows[j - 1]
-                    t3, job, span, hi, base = t3[sel], job[sel], span[sel], hi[sel], base[sel]
-                    if not len(job):
-                        break
+                    t3, span, hi, floor, base = t3[sel], span[sel], hi[sel], floor[sel], base[sel]
+            if pending >= KEY_CAP:
+                _fold_ranges(in_count, g, los, his)
+                pending = 0
+    if pending:
+        _fold_ranges(in_count, g, los, his)
     return in_count
+
+
+def _fold_ranges(
+    in_count: np.ndarray, g: TemporalGraph, los: list[list[np.ndarray]], his: list[list[np.ndarray]]
+) -> None:
+    """Credit each entry of the target pairs that the collected ranges
+    touch, per window, with the number of ranges [lo, hi) that hold its key
+    q: #(lo <= q) - #(hi <= q), to which a range of another pair adds 0.
+    Then clear the ranges."""
+    r = len(g.t_distinct)
+    pairs = np.sort(np.concatenate(los[-1]) // r)  # the largest window touches every pair
+    e, _ = _entries(g.pair_start, pairs[np.diff(pairs, prepend=-1) != 0])
+    q, rows = g.pair_comp[e], g.pair_eid[e]
+    for row, lo, hi in zip(in_count, los, his):
+        if lo:
+            lo_keys, hi_keys = np.sort(np.concatenate(lo)), np.sort(np.concatenate(hi))
+            row[rows] += np.searchsorted(lo_keys, q, "right") - np.searchsorted(hi_keys, q, "right")
+        lo.clear()
+        hi.clear()
 
 
 def count_tables(
@@ -348,7 +360,6 @@ def count_tables(
         ordering = degeneracy_order(static)
     lap = lap or (lambda phase: None)
     g.entry_pairs(ordering)
-    ordering.pair_order()
     lap("triangles")
     group = max(1, KEY_CAP // max(g.m, 1))
     outs: list[np.ndarray] = []

@@ -647,9 +647,7 @@ class DegeneracyOrdering:
     same as a list of lists, built on first use.
     """
 
-    __slots__ = (
-        "pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangle_entries", "_triangles", "_pair_order"
-    )
+    __slots__ = ("pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangle_entries", "_triangles")
 
     def __init__(self, pi: list[int], order: list[int], alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
         self.pi = pi
@@ -660,7 +658,6 @@ class DegeneracyOrdering:
         self._out_adj: list[list[int]] | None = None
         self._triangle_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._triangles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pair_order: np.ndarray | None = None
 
     @property
     def out_adj(self) -> list[list[int]]:
@@ -690,14 +687,6 @@ class DegeneracyOrdering:
             tail = np.repeat(np.arange(len(self.pi), dtype=np.int64), np.diff(self.out_start))
             self._triangles = (tail[ab], self.out_nbr[ab], self.out_nbr[ac])
         return self._triangles
-
-    def pair_order(self) -> np.ndarray:
-        """Indices that sort the triangles by static pair {b, c}, ties kept
-        in triangle order; built on first use. Entries ascend by (tail,
-        head), so this is a stable sort of the bc entries."""
-        if self._pair_order is None:
-            self._pair_order = np.argsort(self.triangle_entries()[2], kind="stable")
-        return self._pair_order
 
 
 def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import folty
 from folty.cli import (
     CSV_HEADER,
     EXIT_CEILING,
@@ -313,16 +318,20 @@ class TestSweep:
     def test_triangles_enumerated_once_per_sweep(self, richer_path, monkeypatch):
         import folty.graph
 
-        builds = []
+        calls = []
         enumerate_triangles = folty.graph.DegeneracyOrdering.triangle_entries
 
         def counting(self):
-            builds.append(self._triangle_entries is None)
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_triangle_blocks":  # name the pass that reads the blocks
+                caller = caller.f_back
+            calls.append((caller.f_code.co_name, self._triangle_entries is None))
             return enumerate_triangles(self)
 
         monkeypatch.setattr(folty.graph.DegeneracyOrdering, "triangle_entries", counting)
         run_sweep(richer_path, "eea", deltas=[10, 60, 300], taus=[_tau("0.5")])
-        assert builds.count(True) == 1 and len(builds) > 3
+        # Built once, by the pair-id lookup, then read by the out and in passes.
+        assert calls == [("entry_pairs", True), ("_out_counts", False), ("_in_counts", False)]
 
     def test_empty_grid_usage_error(self, richer_path, capsys):
         assert main(["sweep", "eea", richer_path, "--delta-list", "10"]) == EXIT_USAGE
@@ -377,3 +386,26 @@ class TestRunQueryAPI:
         report = run_query(richer_path, "eea", 20, Fraction(1, 4), engine=engine)
         assert len(reads) > 2
         assert sum(report["timings_ms"].values()) == pytest.approx((reads[-1] - reads[0]) * 1000)
+
+
+class TestLazyImports:
+    def test_commands_leave_numpy_ma_unimported(self, tmp_path):
+        """numpy imports numpy.ma lazily, from np.unique among others, and
+        that adds over 1 MiB of resident memory. A fresh process running
+        stats, a query and a sweep must not pull it in."""
+        path = tmp_path / "clique.txt"
+        path.write_text("".join(f"{u} {v} {(7 * u + 3 * v) % 40}\n" for u in range(8) for v in range(8) if u != v))
+        script = "\n".join([
+            "import sys",
+            "from folty.cli import main",
+            f"path = {str(path)!r}",
+            "assert main(['stats', path]) == 0",
+            "assert main(['query', 'eae', path, '--delta', '20', '--tau', '50%']) == 0",
+            "assert main(['sweep', 'eaa', path, '--delta-list', '5,20', '--tau-range', '0.25:1:0.25', '--tau2', '25%']) == 0",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = str(Path(folty.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"

@@ -301,8 +301,8 @@ def test_count_tables_small_blocks(monkeypatch, block):
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_count_tables_in_window_groups(monkeypatch, cap):
-    """Past KEY_CAP keys the out side folds its keys into the table early,
-    and past KEY_CAP table cells the windows run in groups of KEY_CAP // m,
+    """Past KEY_CAP keys the out side folds its keys and the in side its
+    ranges into the table early, and past KEY_CAP table cells the windows run in groups of KEY_CAP // m,
     one expansion each; the tables do not change."""
     rng = random.Random(0xD1FB)
     clique = [(u, v, rng.randint(0, 200)) for u in range(6) for v in range(6) if u != v for _ in range(3)]
@@ -320,8 +320,73 @@ def test_count_tables_in_window_groups(monkeypatch, cap):
     folds = []
     fold = folty.engine._fold
     monkeypatch.setattr(folty.engine, "_fold", lambda *args: folds.append(1) or fold(*args))
+    in_folds = []
+    fold_ranges = folty.engine._fold_ranges
+    monkeypatch.setattr(folty.engine, "_fold_ranges", lambda *args: in_folds.append(1) or fold_ranges(*args))
+    monkeypatch.setattr(folty.engine, "BLOCK", 4)  # several in-side blocks per expansion
     count_tables(g, SWEEP_DELTAS)
     assert len(folds) > len(windows)  # not only the last fold of each expansion
+    assert len(in_folds) > len(windows)
+    assert_tables_agree(g)
+
+
+# -- the in side as disjoint ranges --------------------------------------------
+
+
+def hub_edges(rng, sigma, witnesses, span):
+    """A target pair 0 -> 1 with sigma edges (and 1 -> 0 with sigma // 8),
+    plus witnesses 2, 3, ... each joined only to 0 and 1, so each peels
+    before the hub and is an in-side witness of both its directions. The
+    lists 0 -> w repeat timestamps, and most 1 -> w entries sit at or just
+    after a 0 -> w entry, so delta 0 closes triangles too."""
+    edges = [(0, 1, rng.randrange(span)) for _ in range(sigma)]
+    edges += [(1, 0, rng.randrange(span)) for _ in range(sigma // 8)]
+    for w in range(2, 2 + witnesses):
+        l2 = [rng.randrange(span) for _ in range(rng.randint(1, 4))]
+        l3 = [t + rng.choice((0, 0, 1, 3, 40)) for t in l2 if rng.random() < 0.7] + [rng.randrange(span)]
+        edges += [(0, w, t) for t in l2 + l2[: rng.randint(0, 2)]] + [(1, w, t) for t in l3]
+        edges += [(1, w, t) for t in l2[:1]] * rng.randint(0, 1) + [(0, w, t) for t in l3[:1]] * rng.randint(0, 1)
+    return edges
+
+
+def test_hub_target_pair():
+    """One target pair with sigma 2000 and 300 degree-2 witnesses: each
+    witness's L2 entries credit disjoint ranges of the 2000 target times,
+    and an L2 entry at the time of the one before it credits none."""
+    g = TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500))
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    hub = {g.orig.index(0), g.orig.index(1)}
+    assert max(ordering.pi[v] for v in range(g.n) if v not in hub) < min(ordering.pi[v] for v in hub)
+    on_hub = np.isin(g.src, list(hub)) & np.isin(g.dst, list(hub))
+    assert on_hub.sum() == 2000 + 250
+    deltas = [0, 7, 10**30]
+    for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
+        assert table.totals() == oracle_counts(g, delta, static).count, delta
+        assert table.in_array[on_hub].any() and not table.out_array[on_hub].any(), delta
+
+
+@pytest.mark.parametrize("windows", [1, 2, 5])
+def test_in_side_folds_mid_expansion(monkeypatch, windows):
+    """Past KEY_CAP collected ranges the in side folds them into the table
+    before the expansion ends, for every window at once; the counts do not
+    change."""
+    g = TemporalGraph.from_edges(hub_edges(random.Random(0xD201 + windows), 300, 60, 200))
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    deltas = [40, 0, 10**30, 3, 150][:windows]
+    grid = folty.engine._windows(g, deltas)
+    assert len(grid) == windows
+    want = folty.engine._in_counts(g, ordering, grid)
+    monkeypatch.setattr(folty.engine, "KEY_CAP", 16)
+    monkeypatch.setattr(folty.engine, "BLOCK", 8)
+    folds = []
+    fold_ranges = folty.engine._fold_ranges
+    monkeypatch.setattr(folty.engine, "_fold_ranges", lambda *args: folds.append(1) or fold_ranges(*args))
+    assert np.array_equal(folty.engine._in_counts(g, ordering, grid), want)
+    assert len(folds) > 3
+    for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
+        assert table.totals() == oracle_counts(g, delta, static).count, delta
 
 
 def test_count_table_arrays_and_lazy_lists():

@@ -101,9 +101,10 @@ class TestOutCases:
 
 
 class TestIntervalSet:
-    # The witness's evidence is the interval [t3 - delta, t2]; probing the
-    # target pair just outside and at both ends shows exactly which t it
-    # certifies.
+    # An L2 entry at t2 whose first L3 entry at or after it is at t3 credits
+    # the target times in (t2 of the L2 entry before it, t2], cut below at
+    # t3 - delta; probing the target pair just outside and at both ends
+    # shows exactly which t it certifies.
     def test_basic_interval(self):
         assert interval_hits([12], [15], 10, [4, 5, 12, 13]) == [0, 1, 1, 0]
 
@@ -114,7 +115,8 @@ class TestIntervalSet:
         assert interval_hits([], [30], 10, [20, 25, 30]) == [0, 0, 0]
 
     def test_overlapping_intervals_count_one_witness_once(self):
-        # [3, 10] and [8, 14] merge into one run; the witness counts once
+        # 10 credits [3, 10] and 14 credits (10, 14], not [8, 14]: the ranges
+        # are disjoint, so the witness counts once
         assert interval_hits([10, 14], [13, 18], 10, [2, 3, 9, 14, 15]) == [0, 1, 1, 1, 0]
 
     def test_intervals_match_exhaustive_pairs(self):

@@ -681,19 +681,10 @@ class TestTriangles:
             assert got == list(old_oriented_triangles(o))
             assert all(type(x) is int for a, b, cs in got for x in (a, b, *cs))
 
-    def test_pair_order_groups_by_bc(self):
-        for s in static_corpus(67):
-            o = degeneracy_order(s)
-            _, b, c = o.triangles()
-            order = o.pair_order().tolist()
-            keys = [(b[i], c[i], i) for i in order]
-            assert keys == sorted(keys)
-
     def test_built_once_per_ordering(self):
         o = degeneracy_order(static_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]))
         assert o.triangle_entries() is o.triangle_entries()
         assert o.triangles() is o.triangles()
-        assert o.pair_order() is o.pair_order()
         assert len(o.triangles()[0]) == 220
 
     def test_entries_are_the_triangle_edges(self):
@@ -705,7 +696,6 @@ class TestTriangles:
             for entry, x, y in ((ab, a, b), (ac, a, c), (bc, b, c)):
                 assert tail[entry].tolist() == x.tolist()
                 assert o.out_nbr[entry].tolist() == y.tolist()
-            assert o.pair_order().tolist() == np.argsort(b * s.n + c, kind="stable").tolist()
 
 
 class TestEntryPairs:
