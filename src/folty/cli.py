@@ -92,7 +92,9 @@ def _load(path: str):
         raise ParseError(exc.lineno, exc.message, source=path) from None
 
 
-def _resolve_threads(args) -> int:
+def _check_threads(args) -> None:
+    """Validate --threads, or FOLTY_THREADS when it is not given. The
+    engines run single-threaded, so the value is not used."""
     if args.threads is not None:
         n = args.threads
     else:
@@ -103,7 +105,6 @@ def _resolve_threads(args) -> int:
             raise UsageError(f"FOLTY_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise UsageError("threads must be >= 1")
-    return n
 
 
 def run_query(
@@ -114,7 +115,6 @@ def run_query(
     tau2: Fraction | None = None,
     universe: Universe = Universe.DST,
     engine: str = "folty",
-    threads: int = 1,
     ceiling: int = DEFAULT_CEILING,
 ) -> dict:
     """Execute one query and return the run report as a JSON-ready dict."""
@@ -208,7 +208,6 @@ def run_sweep(
     tau2: Fraction | None = None,
     universe: Universe = Universe.DST,
     engine: str = "folty",
-    threads: int = 1,
     ceiling: int = DEFAULT_CEILING,
 ) -> tuple[list[dict], dict]:
     """Run the (delta, tau) grid: the folty engine counts every delta in one
@@ -302,6 +301,8 @@ def _parse_tau_list(args) -> list[Fraction]:
             taus.append(cur)
             cur += step
     if not taus:
+        if args.tau_range:
+            raise UsageError(f"--tau-range {args.tau_range} is empty: lo exceeds hi")
         raise UsageError("sweep needs --tau-list or --tau-range")
     return taus
 
@@ -370,6 +371,7 @@ def _cmd_query(args) -> int:
             raise UsageError(f"{kind} requires --tau")
         tau = parse_tau(args.tau)
         tau2 = None
+    _check_threads(args)
     report = run_query(
         args.path,
         kind,
@@ -378,8 +380,7 @@ def _cmd_query(args) -> int:
         tau2,
         Universe(args.universe),
         args.engine,
-        _resolve_threads(args),
-        args.oracle_ceiling,
+        ceiling=args.oracle_ceiling,
     )
     out = _format_report(report, args.format)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
@@ -402,6 +403,7 @@ def _cmd_sweep(args) -> int:
     tau2 = parse_tau(args.tau2) if args.tau2 else None
     if kind == "eaa" and tau2 is None:
         raise UsageError("eaa sweeps require --tau2")
+    _check_threads(args)
     rows, _ = run_sweep(
         args.path,
         kind,
@@ -410,8 +412,7 @@ def _cmd_sweep(args) -> int:
         tau2,
         Universe(args.universe),
         args.engine,
-        _resolve_threads(args),
-        args.oracle_ceiling,
+        ceiling=args.oracle_ceiling,
     )
     writer = csv.writer(sys.stdout)
     writer.writerow(CSV_HEADER)

@@ -21,9 +21,10 @@ decomposition in the style of Batagelj and Zaversnik), and the orientation
 it induces keeps every out-degree <= alpha.
 
 The array kernels of every layer live here once: _find (sorted-key lookup),
-_blocks and _entries (CSR rows in bounded blocks), _orient and _csr, and
-_closed_wedges, which lists each triangle of an acyclic orientation once
-(Chiba and Nishizeki), for both the count passes and the common counts.
+_blocks and _entries (CSR rows in bounded blocks), and _closed_wedges, which
+lists each triangle of an acyclic orientation once (Chiba and Nishizeki).
+Each degeneracy ordering lists its triangles once, and both the count
+passes and the common counts read that list.
 """
 
 from __future__ import annotations
@@ -499,19 +500,6 @@ def _blocks(start: np.ndarray, rows: np.ndarray, cap: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
-def _orient(n: int, u: np.ndarray, v: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """The key tail * n + head of each edge {u[i], v[i]} pointed from u[i]
-    to v[i] where up[i], else the other way."""
-    return np.where(up, u, v) * n + np.where(up, v, u)
-
-
-def _csr(n: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The oriented edges of the ascending keys in CSR form: row x holds
-    x's heads, ascending. Returns (start, head)."""
-    tail, head = np.divmod(keys, n)
-    return np.searchsorted(tail, np.arange(n + 1)), head
-
-
 def _closed_wedges(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every triangle x -> y, x -> z, y -> z of an acyclic CSR orientation
     (x's heads are nbr[start[x]:start[x + 1]], ascending) once, as the entry
@@ -546,10 +534,12 @@ class StaticGraph:
     built on first use and edge_degree a list computed on each access, for
     the oracle, the practical engine and tests. Common-neighbor counts, the
     triangles on each edge, are one int64 array aligned with the edge
-    columns, built on first use.
+    columns, built on first use from the triangle entries of the last
+    ordering degeneracy_order built for this graph.
     """
 
-    __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v", "degree", "_adj", "_edges", "_adj_sets", "_common")
+    __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v", "degree",
+                 "_adj", "_edges", "_adj_sets", "_common", "_ordering")
 
     def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
         self.n = n
@@ -564,6 +554,7 @@ class StaticGraph:
         self._edges: list[tuple[int, int]] | None = None
         self._adj_sets: list[set[int]] | None = None
         self._common: np.ndarray | None = None
+        self._ordering: DegeneracyOrdering | None = None
 
     @property
     def adj(self) -> list[list[int]]:
@@ -598,21 +589,21 @@ class StaticGraph:
         """|N(u) & N(v)| for every static edge (u, v), in edge order: the
         number of triangles on the edge.
 
-        With the edges pointing to the higher (degree, id) endpoint, one
-        bincount credits each triangle of _closed_wedges to its three
-        entries, and the argsort that put the edges in entry order scatters
-        the credits back to edge order. An edge x -> y expands
-        outdeg(x) <= min(deg x, deg y) out-neighbors, so there are at most
-        sum_edge_degree lookups.
+        One bincount credits each triangle of triangle_entries to its three
+        orientation entries, and one searchsorted finds the static edge
+        {min(x, y), max(x, y)} of each entry x -> y to scatter the credits
+        to edge order. The ordering is the last one degeneracy_order built
+        for this graph, or a new one if there is none; every ordering lists
+        the same triangles, so the counts do not depend on which.
         """
         if self._common is None:
-            u, v = self.edge_u, self.edge_v
-            deg = np.diff(self.adj_start)
-            keys = _orient(self.n, u, v, deg[u] <= deg[v])
-            order = np.argsort(keys)
-            self._common = np.empty(len(u), dtype=np.int64)
-            self._common[order] = np.bincount(
-                np.concatenate(_closed_wedges(*_csr(self.n, keys[order]))), minlength=len(u)
+            o = self._ordering if self._ordering is not None else degeneracy_order(self)
+            n, head = self.n, o.out_nbr
+            tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(o.out_start))
+            keys = np.minimum(tail, head) * n + np.maximum(tail, head)
+            self._common = np.empty(len(head), dtype=np.int64)
+            self._common[np.searchsorted(self.edge_u * n + self.edge_v, keys)] = np.bincount(
+                np.concatenate(o.triangle_entries()), minlength=len(head)
             )
         return self._common
 
@@ -701,8 +692,9 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     of the orientation is <= alpha. This is core decomposition (Batagelj and
     Zaversnik) one batch at a time, O(n * levels + m log m). Batches of
     PEEL_BATCH vertices or more run as array operations, smaller ones in
-    _peel_loop; the order does not depend on which. The orientation is then
-    _orient of the static edge columns by rank.
+    _peel_loop; the order does not depend on which. The orientation then
+    points each static edge to its higher-rank endpoint. The new ordering is
+    recorded on `static` for common_counts; each call builds a fresh one.
     """
     n, start, nbr = static.n, static.adj_start, static.adj_nbr
     size = np.diff(start)
@@ -741,8 +733,12 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(n)
     u, v = static.edge_u, static.edge_v
-    out_start, out_nbr = _csr(n, np.sort(_orient(n, u, v, ranks[u] < ranks[v])))
-    return DegeneracyOrdering(ranks.tolist(), order.tolist(), k, out_start, out_nbr)
+    up = ranks[u] < ranks[v]
+    tail, out_nbr = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
+    static._ordering = DegeneracyOrdering(
+        ranks.tolist(), order.tolist(), k, np.searchsorted(tail, np.arange(n + 1)), out_nbr
+    )
+    return static._ordering
 
 
 def _peel_loop(

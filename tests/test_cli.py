@@ -336,6 +336,11 @@ class TestSweep:
     def test_empty_grid_usage_error(self, richer_path, capsys):
         assert main(["sweep", "eea", richer_path, "--delta-list", "10"]) == EXIT_USAGE
 
+    def test_empty_tau_range_is_named(self, richer_path, capsys):
+        argv = ["sweep", "eaa", richer_path, "--delta", "1h", "--tau-range", "0.5:0.1:0.1", "--tau2", "1"]
+        assert main(argv) == EXIT_USAGE
+        assert "error: --tau-range 0.5:0.1:0.1 is empty" in capsys.readouterr().err
+
     def test_tau_range(self, richer_path, capsys):
         code = main(
             [
@@ -386,6 +391,38 @@ class TestRunQueryAPI:
         report = run_query(richer_path, "eea", 20, Fraction(1, 4), engine=engine)
         assert len(reads) > 2
         assert sum(report["timings_ms"].values()) == pytest.approx((reads[-1] - reads[0]) * 1000)
+
+
+class TestOneTriangleListing:
+    """The count passes and the common-neighbor universe read one triangle
+    listing per graph: _closed_wedges runs once per run."""
+
+    @pytest.fixture
+    def listings(self, monkeypatch):
+        import folty.graph
+
+        calls = []
+        closed_wedges = folty.graph._closed_wedges
+
+        def counting(start, nbr):
+            calls.append(1)
+            return closed_wedges(start, nbr)
+
+        monkeypatch.setattr(folty.graph, "_closed_wedges", counting)
+        return calls
+
+    def test_sweep_over_common_universe(self, richer_path, listings):
+        from folty.queries import Universe
+
+        run_sweep(richer_path, "eaa", [10, 60], [_tau("0.25"), _tau("0.5")], _tau("0.5"), Universe.COMMON)
+        assert len(listings) == 1
+
+    @pytest.mark.parametrize("engine", ["folty", "practical"])
+    def test_query_over_common_universe(self, richer_path, listings, engine):
+        from folty.queries import Universe
+
+        run_query(richer_path, "eea", 20, _tau("0.5"), universe=Universe.COMMON, engine=engine)
+        assert len(listings) == 1
 
 
 class TestLazyImports:

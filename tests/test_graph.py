@@ -547,8 +547,8 @@ class TestStatic:
     def test_common_matches_brute_on_random_graphs(self):
         rng = random.Random(7)
         randoms = [build_static(random_temporal_graph(rng, max_vertices=50, max_edges=200)) for _ in range(25)]
-        # Equal-degree endpoints, which the (degree, id) orientation orders
-        # by id: a cycle, the octahedron, and a 4-regular circulant under
+        # Equal-degree endpoints, which the peel orders by id within a
+        # batch: a cycle, the octahedron, and a 4-regular circulant under
         # shuffled labels.
         label = list(range(20))
         rng.shuffle(label)
@@ -558,17 +558,30 @@ class TestStatic:
             static_from_edges(20, [(label[i], label[(i + j) % 20]) for i in range(20) for j in (1, 2)]),
         ]
         for s in chain(randoms, peel_shapes(), ties):
-            sets = [set(a) for a in s.adj]
-            assert s.common_counts().tolist() == [len(sets[u] & sets[v]) for u, v in s.edges]
+            check_common_counts(s)
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_common_counts_in_small_blocks(self, monkeypatch, block):
         monkeypatch.setattr(folty.graph, "WEDGE_BLOCK", block)
         rng = random.Random(11 + block)
         for _ in range(10):
-            s = build_static(random_temporal_graph(rng, max_vertices=20, max_edges=120))
-            sets = [set(a) for a in s.adj]
-            assert s.common_counts().tolist() == [len(sets[u] & sets[v]) for u, v in s.edges]
+            check_common_counts(build_static(random_temporal_graph(rng, max_vertices=20, max_edges=120)))
+
+
+def check_common_counts(s):
+    """common_counts of copies of s against brute force: with no ordering
+    built, after one degeneracy_order and after two. The counts come from
+    the last ordering's triangle entries, or from one common_counts builds."""
+    sets = [set(a) for a in s.adj]
+    want = [len(sets[u] & sets[v]) for u, v in s.edges]
+    for built in range(3):
+        fresh = StaticGraph(s.n, s.adj_start, s.adj_nbr)
+        orderings = [degeneracy_order(fresh) for _ in range(built)]
+        assert fresh.common_counts().tolist() == want
+        assert fresh._ordering._triangle_entries is not None
+        if orderings:
+            assert fresh._ordering is orderings[-1]
+            assert all(o._triangle_entries is None for o in orderings[:-1])
 
 
 def static_from_edges(n, edges):
