@@ -24,9 +24,9 @@ lists by pair id; every chained lookup is one np.searchsorted on the
 composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The pair ids
 of x -> y and y -> x are found once per (graph, ordering) for each entry
 x -> y that a triangle uses (TemporalGraph.entry_pairs), so a triangle's
-six directed pair ids are gathers by its entries. The passes slice the
-entry columns TRIANGLE_BLOCK triangles at a time into jobs, and jobs run in
-blocks of about BLOCK expanded entries, so temporaries stay small. The
+six directed pair ids are gathers by its entries. One knob, BLOCK, bounds
+the temporaries: the passes slice the entry columns BLOCK triangles at a
+time into jobs, and jobs run in blocks of about BLOCK expanded entries. The
 block expansion is the graph layer's _blocks and _entries, which its
 triangle listing uses too. Window checks compare t3 - t as an unsigned
 64-bit difference, so timestamps at the int64 extremes and any delta are
@@ -52,10 +52,9 @@ from .graph import _blocks, _entries
 # this module because the benchmark's tracer and its tests look it up here.
 from .segtree import IntervalSegmentTree  # noqa: F401
 
-#: Triangles turned into jobs at a time.
-TRIANGLE_BLOCK = 2048
-#: Expanded list entries per vectorized block (a block may exceed it by the
-#: size of its last list, since one list is never split).
+#: Triangles turned into jobs at a time, and expanded list entries per
+#: vectorized block (a block may exceed it by the size of its last list,
+#: since one list is never split).
 BLOCK = 8192
 #: Out-side hits or in-side ranges (16 bytes each) collected before one fold
 #: credits them to the count table, and the most table cells (m per window,
@@ -160,13 +159,13 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
 
 def _triangle_blocks(g: TemporalGraph, ordering: DegeneracyOrdering) -> Iterator[tuple[np.ndarray, ...]]:
     """The pair ids of each triangle's directed pairs (ab, ba, ac, ca, bc,
-    cb), -1 where a pair has no edge, TRIANGLE_BLOCK triangles at a time.
+    cb), -1 where a pair has no edge, BLOCK triangles at a time.
     Each column is a gather from g.entry_pairs by the triangles' orientation
     entries."""
     fwd, bwd = g.entry_pairs(ordering)
     entries = ordering.triangle_entries()
-    for lo in range(0, len(entries[0]), TRIANGLE_BLOCK):
-        ab, ac, bc = (column[lo : lo + TRIANGLE_BLOCK] for column in entries)
+    for lo in range(0, len(entries[0]), BLOCK):
+        ab, ac, bc = (column[lo : lo + BLOCK] for column in entries)
         yield fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]
 
 

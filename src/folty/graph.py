@@ -8,13 +8,17 @@ distinct edges. Bytes and binary files are tokenized by one numpy.loadtxt
 call over the whole buffer; the line loop parses whatever that call
 declines, so every ParseError names its line.
 
-Vertex ids are remapped to dense [0, n) by ascending original id, through a
-rank table when the ids are dense enough; original ids are kept for output.
-Edges are sorted by (timestamp, input order) and the position in that order
-is the edge id used by every per-edge array. Input already in time order is
-kept as it is. Both that sort and the pair order are stable sorts made of
-unstable ones (_stable_order): an argsort, then one in-place sort of the
-unique composite keys rank * m + index, which puts ties back in index order.
+Every input reaches the graph arrays through one build, the TemporalGraph
+constructor: the array parse hands it int64 columns, and the line loop, a
+generator of validated triples, goes through from_edges, which makes the
+columns from Python ints. There, vertex ids are remapped to dense [0, n) by
+ascending original id, through a rank table when the ids are dense enough;
+original ids are kept for output. Edges are sorted by (timestamp, input
+order) and the position in that order is the edge id used by every per-edge
+array. Input already in time order is kept as it is. Both that sort and the
+pair order are stable sorts made of unstable ones (_stable_order): an
+argsort, then one in-place sort of the unique composite keys rank * m +
+index, which puts ties back in index order.
 
 The degeneracy order peels the static projection in level batches (core
 decomposition in the style of Batagelj and Zaversnik), and the orientation
@@ -33,7 +37,7 @@ import io
 import warnings
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -77,6 +81,17 @@ class TemporalEdge(NamedTuple):
 
 class TemporalGraph:
     """Immutable temporal multigraph with one CSR layout of its directed pairs.
+
+    TemporalGraph(u, v, t, dropped=0, labels=None) is the one build. u, v and
+    t are int64 edge columns in input order, without self-loops; dropped is
+    the number of self-loops the caller removed. The ids are remapped to
+    dense [0, n) by ascending id, through an int32 rank table when max id + 1
+    is at most ID_TABLE_RATIO * 2m (and below 2**31), else by sort and
+    searchsorted. labels, if given, are the original ids of the values
+    0..n-1 in u and v (from_edges passes them for ids beyond int64). The
+    edges are then ordered by (t, input order), a stable sort skipped when t
+    is already in order, and the pair layout is built. The graph owns every
+    array it keeps: none is a view of the caller's columns.
 
     Attributes
     ----------
@@ -122,43 +137,64 @@ class TemporalGraph:
 
     def __init__(
         self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        ts: np.ndarray,
-        orig: list[int],
-        self_loops_dropped: int = 0,
+        u: np.ndarray,
+        v: np.ndarray,
+        t: np.ndarray,
+        dropped: int = 0,
+        labels: list[int] | None = None,
     ):
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.ts = t = np.asarray(ts, dtype=np.int64)
-        self.orig = orig
-        self.n = len(orig)
-        self.m = len(t)
-        self.self_loops_dropped = self_loops_dropped
+        m = len(t)
+        lo = min(int(u.min()), int(v.min())) if m else 0
+        span = max(int(u.max()), int(v.max())) + 1 if m else 0
+        if lo >= 0 and span <= ID_TABLE_RATIO * 2 * m and span < 2**31:
+            table = np.zeros(span, dtype=np.int32)
+            table[u] = 1
+            table[v] = 1
+            ids = np.flatnonzero(table)
+            table[ids] = np.arange(len(ids), dtype=np.int32)
+            u, v = table[u], table[v]
+            del table  # each del frees a temporary before the sorts, which set the build's peak memory
+        else:
+            ids = np.sort(np.concatenate((u, v)))
+            ids = ids[_runs(ids)[1]]
+            u, v = np.searchsorted(ids, u), np.searchsorted(ids, v)
+        if np.any(t[1:] < t[:-1]):
+            order = _stable_order(t)[0]
+            u, v, t = u[order], v[order], t[order]
+        else:
+            t = t.copy()  # the graph owns its ts, as a view of the caller's block would pin it
+        self.src = u.astype(np.int64, copy=False)
+        self.dst = v.astype(np.int64, copy=False)
+        del u, v
+        self.ts = t
+        self.orig = ids.tolist() if labels is None else labels
+        self.n = len(self.orig)
+        self.m = m
+        self.self_loops_dropped = dropped
         self._pairs: Mapping[tuple[int, int], tuple[list[int], list[int]]] | None = None
         self._lists: tuple[list[int], list[int], list[int]] | None = None
         self._common: tuple[StaticGraph, np.ndarray] | None = None
         self._entry_pairs: tuple[DegeneracyOrdering, np.ndarray, np.ndarray] | None = None
 
-        if np.any(t[1:] < t[:-1]):
-            raise ValueError("timestamps must be non-decreasing in eid order")
         key = self.src * self.n + self.dst
         order, pid, starts = _stable_order(key)
         self.pair_key = key[order[starts]]
-        self.pair_start = np.append(starts, self.m)
+        del key
+        self.pair_start = np.append(starts, m)
         self.pair_eid = order
         self.pair_ts = t[order]
-        new = np.ones(self.m, dtype=bool)
-        new[1:] = t[1:] != t[:-1]
-        self.t_distinct = t[new]
-        rank = np.cumsum(new) - 1
+        rank, starts = _runs(t)
+        self.t_distinct = t[starts]
         pid *= len(self.t_distinct)
         pid += rank[order]
         self.pair_comp = pid
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
-        """Build from (src, dst, t) triples; same semantics as parsing."""
+        """Build from (src, dst, t) triples of Python ints; same semantics as
+        parsing. Self-loops are dropped. Ids that int64 cannot hold are
+        ranked in Python first; their ranks are the columns and the ids
+        themselves the labels."""
         us: list[int] = []
         vs: list[int] = []
         ts: list[int] = []
@@ -170,13 +206,6 @@ class TemporalGraph:
                 us.append(u)
                 vs.append(v)
                 ts.append(t)
-        return cls._from_rows(us, vs, ts, dropped)
-
-    @classmethod
-    def _from_rows(cls, us: list[int], vs: list[int], ts: list[int], dropped: int) -> "TemporalGraph":
-        """The array tail for loop-free edges given as Python ints. Ids that
-        int64 cannot hold are ranked in Python first; their ranks go through
-        the tail and the ids themselves become `orig`."""
         labels = None
         try:
             u = np.array(us, dtype=np.int64)
@@ -186,41 +215,7 @@ class TemporalGraph:
             rank = {x: i for i, x in enumerate(labels)}
             u = np.array([rank[x] for x in us], dtype=np.int64)
             v = np.array([rank[x] for x in vs], dtype=np.int64)
-        return cls._from_columns(u, v, np.array(ts, dtype=np.int64), dropped, labels)
-
-    @classmethod
-    def _from_columns(
-        cls, u: np.ndarray, v: np.ndarray, t: np.ndarray, dropped: int, labels: list[int] | None = None
-    ) -> "TemporalGraph":
-        """Remap loop-free int64 edge columns to dense ids by ascending id
-        (through an int32 rank table when the ids are dense, see
-        ID_TABLE_RATIO; else by sort and searchsorted), sort them by t
-        (stable: input order breaks ties; skipped when t is already in
-        order), construct. `labels`, if given, are the original ids of the
-        values 0..n-1 in u and v."""
-        m = len(t)
-        lo = min(int(u.min()), int(v.min())) if m else 0
-        span = max(int(u.max()), int(v.max())) + 1 if m else 0
-        if lo >= 0 and span <= ID_TABLE_RATIO * 2 * m and span < 2**31:
-            table = np.zeros(span, dtype=np.int32)
-            table[u] = 1
-            table[v] = 1
-            ids = np.flatnonzero(table)
-            table[ids] = np.arange(len(ids), dtype=np.int32)
-            u, v = table[u], table[v]
-        else:
-            ids = np.sort(np.concatenate((u, v)))
-            new = np.ones(len(ids), dtype=bool)
-            new[1:] = ids[1:] != ids[:-1]
-            ids = ids[new]
-            u, v = np.searchsorted(ids, u), np.searchsorted(ids, v)
-        if np.any(t[1:] < t[:-1]):
-            order = _stable_order(t)[0]
-            u, v, t = u[order], v[order], t[order]
-        else:
-            t = t.copy()  # the graph owns its ts, as a view of the caller's block would pin it
-        orig = ids.tolist() if labels is None else labels
-        return cls(u, v, t, orig, dropped)
+        return cls(u, v, np.array(ts, dtype=np.int64), dropped, labels)
 
     @property
     def edge_lists(self) -> tuple[list[int], list[int], list[int]]:
@@ -327,12 +322,12 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     elif isinstance(data, (io.RawIOBase, io.BufferedIOBase)):
         raw, lines = data.read(), io.BytesIO
     else:
-        return _parse_lines(data.splitlines() if isinstance(data, str) else data)
+        return TemporalGraph.from_edges(_parse_lines(data.splitlines() if isinstance(data, str) else data))
     columns = _parse_array(raw)
     if columns is None:
-        return _parse_lines(lines(raw))
+        return TemporalGraph.from_edges(_parse_lines(lines(raw)))
     del raw  # only the line loop reads the input again; the build needs the memory
-    return TemporalGraph._from_columns(*columns)
+    return TemporalGraph(*columns)
 
 
 def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
@@ -392,13 +387,9 @@ def _drop_comments(data: bytes) -> bytes | None:
     return b"".join(kept)
 
 
-def _parse_lines(lines: Iterable[str | bytes]) -> TemporalGraph:
-    """The line loop: validates each line and raises ParseError at the first
-    bad one."""
-    us: list[int] = []
-    vs: list[int] = []
-    ts: list[int] = []
-    dropped = 0
+def _parse_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, int, int]]:
+    """The line loop: yields the (src, dst, t) of each edge line, self-loops
+    included, and raises ParseError at the first bad line."""
     for lineno, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
             try:
@@ -420,13 +411,7 @@ def _parse_lines(lines: Iterable[str | bytes]) -> TemporalGraph:
             raise ParseError(lineno, f"negative vertex id in {line.strip()!r}")
         if not (_I64_MIN <= t <= _I64_MAX):
             raise ParseError(lineno, f"timestamp out of 64-bit range: {t}")
-        if u == v:
-            dropped += 1
-            continue
-        us.append(u)
-        vs.append(v)
-        ts.append(t)
-    return TemporalGraph._from_rows(us, vs, ts, dropped)
+        yield u, v, t
 
 
 def serialize_edge_list(g: TemporalGraph) -> str:
@@ -455,13 +440,7 @@ def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     m = len(keys)
     order = np.argsort(keys)
-    ordered = keys[order]
-    new = np.ones(m, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    del ordered
-    rank = np.cumsum(new)
-    rank -= 1
-    starts = np.flatnonzero(new)
+    rank, starts = _runs(keys[order])
     if m * m > _I64_MAX:  # the composite would overflow int64 (m > 3.03e9)
         return np.argsort(keys, kind="stable"), rank, starts
     rank *= m
@@ -470,6 +449,16 @@ def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     np.remainder(rank, m, out=order)
     rank //= m
     return order, rank, starts
+
+
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, starts): the dense rank of each of the ascending keys among
+    the distinct ones, and the positions where a new key starts."""
+    new = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.cumsum(new)
+    rank -= 1
+    return rank, np.flatnonzero(new)
 
 
 def _find(keys: np.ndarray, q: np.ndarray) -> np.ndarray:

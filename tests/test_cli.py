@@ -429,14 +429,18 @@ class TestLazyImports:
     def test_commands_leave_numpy_ma_unimported(self, tmp_path):
         """numpy imports numpy.ma lazily, from np.unique among others, and
         that adds over 1 MiB of resident memory. A fresh process running
-        stats, a query and a sweep must not pull it in."""
+        stats, a query and a sweep must not pull it in, nor a build whose
+        ids are too sparse for the rank table."""
         path = tmp_path / "clique.txt"
         path.write_text("".join(f"{u} {v} {(7 * u + 3 * v) % 40}\n" for u in range(8) for v in range(8) if u != v))
+        sparse = tmp_path / "sparse.txt"
+        sparse.write_text("1 4000000000 5\n4000000000 7 6\n")
         script = "\n".join([
             "import sys",
             "from folty.cli import main",
             f"path = {str(path)!r}",
             "assert main(['stats', path]) == 0",
+            f"assert main(['stats', {str(sparse)!r}]) == 0",
             "assert main(['query', 'eae', path, '--delta', '20', '--tau', '50%']) == 0",
             "assert main(['sweep', 'eaa', path, '--delta-list', '5,20', '--tau-range', '0.25:1:0.25', '--tau2', '25%']) == 0",
             "print('numpy.ma' in sys.modules)",

@@ -135,7 +135,6 @@ def test_expansions_span_several_blocks():
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
 def test_small_blocks(monkeypatch, block):
     monkeypatch.setattr(folty.engine, "BLOCK", block)
-    monkeypatch.setattr(folty.engine, "TRIANGLE_BLOCK", block)
     rng = random.Random(0xD1F5 + block)
     for _ in range(15):
         n = rng.randint(3, 12)
@@ -291,7 +290,6 @@ def test_count_tables_many_windows():
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
 def test_count_tables_small_blocks(monkeypatch, block):
     monkeypatch.setattr(folty.engine, "BLOCK", block)
-    monkeypatch.setattr(folty.engine, "TRIANGLE_BLOCK", block)
     rng = random.Random(0xD1FA + block)
     for _ in range(10):
         n = rng.randint(3, 12)
@@ -441,7 +439,7 @@ def test_repeated_counts_on_one_ordering(monkeypatch, block):
     """Many compute_counts calls on one ordering reuse its pair-id map and
     keep matching the oracle, for one-direction pairs and triangle-free
     graphs too."""
-    monkeypatch.setattr(folty.engine, "TRIANGLE_BLOCK", block)
+    monkeypatch.setattr(folty.engine, "BLOCK", block)
     rng = random.Random(0xD1FE + block)
     cycle = [(i, (i + 1) % 6, t) for i in range(6) for t in (i, i + 3)]
     graphs = [TemporalGraph.from_edges(cycle)]

@@ -219,10 +219,15 @@ def parse_outcome(parse, source):
     return ("graph", [c.tolist() for c in columns], g.orig, g.self_loops_dropped)
 
 
+def line_loop(lines):
+    """The graph of the line loop's triples."""
+    return TemporalGraph.from_edges(folty.graph._parse_lines(lines))
+
+
 def loop_outcomes(data: bytes):
     """The line loop's outcome for the bytes and for a file holding them."""
-    by_bytes = parse_outcome(folty.graph._parse_lines, data.splitlines())
-    by_file = parse_outcome(folty.graph._parse_lines, io.BytesIO(data))
+    by_bytes = parse_outcome(line_loop, data.splitlines())
+    by_file = parse_outcome(line_loop, io.BytesIO(data))
     return by_bytes, by_file
 
 
@@ -268,7 +273,7 @@ class TestArrayParse:
 
     def test_underscores_take_line_loop(self, monkeypatch):
         data = b"1_000 2 3\n"
-        want = parse_outcome(folty.graph._parse_lines, data.splitlines())
+        want = parse_outcome(line_loop, data.splitlines())
         calls = []
         loop = folty.graph._parse_lines
         monkeypatch.setattr(folty.graph, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
@@ -497,7 +502,8 @@ def build_corpus():
 
 class TestBuildOrders:
     """Every graph array against the stable argsorts, through the array
-    parse, the line loop and from_edges, and with either id remap."""
+    parse, the line loop, from_edges and the constructor, and with either
+    id remap."""
 
     @pytest.mark.parametrize("ratio", [0, 10**9])
     @pytest.mark.parametrize("name,edges", list(build_corpus()))
@@ -505,7 +511,9 @@ class TestBuildOrders:
         monkeypatch.setattr(folty.graph, "ID_TABLE_RATIO", ratio)
         want = {k: (v if isinstance(v, (int, list)) else v.tolist()) for k, v in reference_graph(edges).items()}
         data = "".join(f"{u} {v} {t}\n" for u, v, t in edges).encode()
-        for g in (parse_edge_list(data), folty.graph._parse_lines(data.splitlines()), TemporalGraph.from_edges(edges)):
+        kept = [e for e in edges if e[0] != e[1]]
+        direct = TemporalGraph(*np.array(kept, dtype=np.int64).T, len(edges) - len(kept))
+        for g in (parse_edge_list(data), line_loop(data.splitlines()), TemporalGraph.from_edges(edges), direct):
             assert graph_arrays(g) == want
 
     def test_time_sorted_input_skips_the_sort(self):
@@ -966,7 +974,7 @@ class TestIdRemap:
         monkeypatch.setattr(folty.graph, "ID_TABLE_RATIO", ratio)
         u, v, t, labels = columns
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy:
-            g = TemporalGraph._from_columns(u.astype(np.int64), v.astype(np.int64), t.astype(np.int64), 0, labels)
+            g = TemporalGraph(u.astype(np.int64), v.astype(np.int64), t.astype(np.int64), 0, labels)
         return g, spy.call_count
 
     def test_table_and_searchsorted_agree(self, monkeypatch):
