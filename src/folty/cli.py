@@ -174,8 +174,8 @@ class _Laps:
 def _count_tables(g, static, ordering, deltas, engine, ceiling, lap: _Laps) -> list:
     """One count table per delta, lapping triangles, out_pass and in_pass.
     The folty engine counts every delta in one expansion (count_tables); the
-    practical and oracle engines run one pass per delta, lapped as out_pass,
-    and give totals lists."""
+    practical and oracle engines run one pass per delta, all lapped together
+    as out_pass, and give totals lists."""
     if engine == "folty":
         return count_tables(g, deltas, static, ordering, lap=lap)
     lap.ms["triangles"] = 0.0
@@ -210,14 +210,16 @@ def run_sweep(
     engine: str = "folty",
     ceiling: int = DEFAULT_CEILING,
 ) -> tuple[list[dict], dict]:
-    """Run the (delta, tau) grid: the folty engine counts every delta in one
-    expansion, and each count table serves every tau.
+    """Run the (delta, tau) grid: one counting call gives every delta's count
+    table (the folty engine from one expansion), and each table serves every
+    tau.
 
     Returns (rows, meta). meta["count_runs"] has one entry per delta with its
-    counting-phase timings; the folty engine's shared expansion is charged to
-    the first delta's entry, so the entries sum to the counting time. A row's
-    elapsed_ms is its threshold time; the threshold state that no tau changes
-    is built on first use, so it is charged to the first row that needs it.
+    counting-phase timings; the one counting call is charged to the first
+    delta's entry and the others read 0.0, so the entries sum to the
+    counting time. A row's elapsed_ms is its threshold time; the threshold
+    state that no tau changes is built on first use, so it is charged to the
+    first row that needs it.
     """
     kind = validate_kind(kind)
     if not deltas or not taus:
@@ -226,14 +228,12 @@ def run_sweep(
     static = build_static(g)
     ordering = degeneracy_order(static)
     deltas = sorted(set(deltas))
-    tables: list = []
-    count_runs: list[dict] = []
-    for group in [deltas] if engine == "folty" else [[delta] for delta in deltas]:
-        lap = _Laps()
-        tables += _count_tables(g, static, ordering, group, engine, ceiling, lap)
-        for delta in group:
-            count_runs.append({"delta_s": delta, **{f"{k}_ms": ms for k, ms in lap.ms.items()}})
-            lap.ms = dict.fromkeys(lap.ms, 0.0)  # a shared expansion is charged once
+    lap = _Laps()
+    tables = _count_tables(g, static, ordering, deltas, engine, ceiling, lap)
+    count_runs = [
+        {"delta_s": delta, **{f"{k}_ms": ms if delta == deltas[0] else 0.0 for k, ms in lap.ms.items()}}
+        for delta in deltas
+    ]
     rows: list[dict] = []
     for delta, table in zip(deltas, tables):
         for tau in sorted(set(taus)):

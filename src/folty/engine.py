@@ -24,11 +24,12 @@ lists by pair id; every chained lookup is one np.searchsorted on the
 composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The pair ids
 of x -> y and y -> x are found once per (graph, ordering) for each entry
 x -> y that a triangle uses (TemporalGraph.entry_pairs), so a triangle's
-six directed pair ids are gathers by its entries. One knob, BLOCK, bounds
-the temporaries: the passes slice the entry columns BLOCK triangles at a
-time into jobs, and jobs run in blocks of about BLOCK expanded entries. The
-block expansion is the graph layer's _blocks and _entries, which its
-triangle listing uses too. Window checks compare t3 - t as an unsigned
+six directed pair ids are gathers by its entries. The graph layer's BLOCK,
+read at call time, bounds the temporaries of both layers: the passes slice
+the entry columns BLOCK triangles at a time into jobs, and jobs run in
+blocks of about BLOCK expanded entries through _blocks and _entries, which
+the triangle listing uses too. KEY_CAP bounds the hits and ranges collected
+before a fold credits them. Window checks compare t3 - t as an unsigned
 64-bit difference, so timestamps at the int64 extremes and any delta are
 exact.
 
@@ -45,6 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import graph
 from .graph import DegeneracyOrdering, StaticGraph, TemporalGraph, build_static, degeneracy_order
 from .graph import _blocks, _entries
 
@@ -52,14 +54,8 @@ from .graph import _blocks, _entries
 # this module because the benchmark's tracer and its tests look it up here.
 from .segtree import IntervalSegmentTree  # noqa: F401
 
-#: Triangles turned into jobs at a time, and expanded list entries per
-#: vectorized block (a block may exceed it by the size of its last list,
-#: since one list is never split).
-BLOCK = 8192
 #: Out-side hits or in-side ranges (16 bytes each) collected before one fold
-#: credits them to the count table, and the most table cells (m per window,
-#: 8 bytes each) one expansion fills: more windows than KEY_CAP // m run as
-#: separate expansions of at most that many.
+#: credits them to the count table.
 KEY_CAP = 1 << 22
 
 _SIGN = np.uint64(1 << 63)
@@ -159,13 +155,14 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
 
 def _triangle_blocks(g: TemporalGraph, ordering: DegeneracyOrdering) -> Iterator[tuple[np.ndarray, ...]]:
     """The pair ids of each triangle's directed pairs (ab, ba, ac, ca, bc,
-    cb), -1 where a pair has no edge, BLOCK triangles at a time.
+    cb), -1 where a pair has no edge, graph.BLOCK triangles at a time.
     Each column is a gather from g.entry_pairs by the triangles' orientation
     entries."""
     fwd, bwd = g.entry_pairs(ordering)
     entries = ordering.triangle_entries()
-    for lo in range(0, len(entries[0]), BLOCK):
-        ab, ac, bc = (column[lo : lo + BLOCK] for column in entries)
+    block = graph.BLOCK
+    for lo in range(0, len(entries[0]), block):
+        ab, ac, bc = (column[lo : lo + block] for column in entries)
         yield fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]
 
 
@@ -207,7 +204,7 @@ def _out_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndar
         p3 = np.concatenate((bc, ac, cb, ab))
         keep = (p1 >= 0) & (p2 >= 0) & (p3 >= 0)
         p1, p2, p3 = p1[keep], p2[keep], p3[keep]
-        for block in _blocks(start, p1, BLOCK):
+        for block in _blocks(start, p1):
             i, job = _entries(start, p1[block])
             q1, q2, q3 = p1[block][job], p2[block][job], p3[block][job]
             j = np.searchsorted(comp, comp[i] + (q2 - q1) * r)
@@ -287,7 +284,7 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
         p3 = np.concatenate((ca, ba))
         keep = (pt >= 0) & (p2 >= 0) & (p3 >= 0)
         pt, p2, p3 = pt[keep], p2[keep], p3[keep]
-        for block in _blocks(start, p2, BLOCK):
+        for block in _blocks(start, p2):
             i, job = _entries(start, p2[block])
             q2, q3 = p2[block][job], p3[block][job]
             k = np.searchsorted(comp, comp[i] + (q3 - q2) * r)
@@ -346,10 +343,8 @@ def count_tables(
     """One count table per delta, in the order given, from one expansion.
 
     Deltas may repeat and come in any order; deltas that clamp to the same
-    window share one table's arrays. When m times the number of windows
-    exceeds KEY_CAP, the windows run in groups, one expansion per group.
-    `lap`, if given, is called with "triangles", "out_pass" and "in_pass"
-    as each phase ends (the last two once per group).
+    window share one table's arrays. `lap`, if given, is called once each
+    with "triangles", "out_pass" and "in_pass" as each phase ends.
     """
     deltas = list(deltas)
     windows = _windows(g, deltas)
@@ -360,14 +355,10 @@ def count_tables(
     lap = lap or (lambda phase: None)
     g.entry_pairs(ordering)
     lap("triangles")
-    group = max(1, KEY_CAP // max(g.m, 1))
-    outs: list[np.ndarray] = []
-    ins: list[np.ndarray] = []
-    for lo in range(0, len(windows), group):
-        outs.extend(_out_counts(g, ordering, windows[lo : lo + group]))
-        lap("out_pass")
-        ins.extend(_in_counts(g, ordering, windows[lo : lo + group]))
-        lap("in_pass")
+    outs = _out_counts(g, ordering, windows)
+    lap("out_pass")
+    ins = _in_counts(g, ordering, windows)
+    lap("in_pass")
     column = {int(w): j for j, w in enumerate(windows)}
     picks = [column[_window(g, delta)] for delta in deltas]
     return [CountTable(ins[j], outs[j], delta) for delta, j in zip(deltas, picks)]

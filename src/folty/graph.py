@@ -44,9 +44,11 @@ import numpy as np
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
-#: Wedges checked per vectorized block of _closed_wedges (a block may exceed
-#: it by the size of its last row, since one row is never split).
-WEDGE_BLOCK = 1 << 14
+#: CSR entries expanded per vectorized block of _blocks (a block may exceed
+#: it by the size of its last row, since one row is never split): the wedges
+#: of _closed_wedges and the list entries of the count passes; the passes
+#: also turn this many triangles into jobs at a time.
+BLOCK = 1 << 13
 
 #: Peel batches of fewer vertices than this run in a Python loop, larger ones
 #: as array operations; both follow the same batch rule. Below it the arrays'
@@ -477,14 +479,14 @@ def _entries(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.arange(ends[-1]) + (start[rows] - ends + sizes)[owner], owner
 
 
-def _blocks(start: np.ndarray, rows: np.ndarray, cap: int) -> list[slice]:
-    """Slices of rows whose CSR rows start within one cap-wide window of the
-    concatenated entries."""
+def _blocks(start: np.ndarray, rows: np.ndarray) -> list[slice]:
+    """Slices of rows whose CSR rows start within one BLOCK-wide window of
+    the concatenated entries."""
     if not len(rows):
         return []
     sizes = start[rows + 1] - start[rows]
     starts = np.cumsum(sizes) - sizes
-    marks = np.arange(0, starts[-1] + sizes[-1], cap)
+    marks = np.arange(0, starts[-1] + sizes[-1], BLOCK)
     cuts = np.append(np.searchsorted(starts, marks), len(rows)).tolist()
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
@@ -496,7 +498,7 @@ def _closed_wedges(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.n
 
     Each entry x -> y, where x has another head and y has one, expands the
     row of x and looks the key y * n + z of every head z up among the
-    sorted entry keys, WEDGE_BLOCK lookups at a time.
+    sorted entry keys, BLOCK lookups at a time.
     """
     n = len(start) - 1
     outdeg = np.diff(start)
@@ -504,7 +506,7 @@ def _closed_wedges(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.n
     keys = tail * n + nbr
     xy = np.flatnonzero((outdeg[tail] > 1) & (outdeg[nbr] > 0))
     parts = [(np.empty(0, dtype=np.int64),) * 3]
-    for block in _blocks(start, tail[xy], WEDGE_BLOCK):
+    for block in _blocks(start, tail[xy]):
         xz, i = _entries(start, tail[xy[block]])
         e = xy[block][i]
         yz = _find(keys, nbr[e] * n + nbr[xz])

@@ -5,12 +5,14 @@ vectorization put at risk."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import folty.engine
+import folty.graph
 from folty import cli
 from folty.engine import CountTable, compute_counts, count_tables, oriented_triangles
 from folty.graph import TemporalGraph, build_static, degeneracy_order, parse_edge_list
@@ -128,13 +130,13 @@ def test_expansions_span_several_blocks():
               for u in range(12) for v in range(12) if u != v
               for _ in range(rng.randint(30, 40))]
     g = TemporalGraph.from_edges(clique)
-    assert out_expansions(g) > 3 * folty.engine.BLOCK
+    assert out_expansions(g) > 3 * folty.graph.BLOCK
     assert_engines_agree(g, (0, 3, 40, 2**62))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
 def test_small_blocks(monkeypatch, block):
-    monkeypatch.setattr(folty.engine, "BLOCK", block)
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
     rng = random.Random(0xD1F5 + block)
     for _ in range(15):
         n = rng.randint(3, 12)
@@ -289,7 +291,7 @@ def test_count_tables_many_windows():
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
 def test_count_tables_small_blocks(monkeypatch, block):
-    monkeypatch.setattr(folty.engine, "BLOCK", block)
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
     rng = random.Random(0xD1FA + block)
     for _ in range(10):
         n = rng.randint(3, 12)
@@ -300,18 +302,19 @@ def test_count_tables_small_blocks(monkeypatch, block):
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_count_tables_in_window_groups(monkeypatch, cap):
     """Past KEY_CAP keys the out side folds its keys and the in side its
-    ranges into the table early, and past KEY_CAP table cells the windows run in groups of KEY_CAP // m,
-    one expansion each; the tables do not change."""
+    ranges into the table early; however many table cells the windows need
+    (m per window, here several times KEY_CAP), every window is counted in
+    one expansion, and the tables do not change."""
     rng = random.Random(0xD1FB)
     clique = [(u, v, rng.randint(0, 200)) for u in range(6) for v in range(6) if u != v for _ in range(3)]
     g = TemporalGraph.from_edges(clique)
     monkeypatch.setattr(folty.engine, "KEY_CAP", cap * g.m)
     span = int(g.t_distinct[-1] - g.t_distinct[0])
     windows = {min(d, span) for d in SWEEP_DELTAS}
+    assert len(windows) > cap
     phases = []
     count_tables(g, SWEEP_DELTAS, lap=phases.append)
-    groups = -(-len(windows) // cap)
-    assert phases == ["triangles"] + ["out_pass", "in_pass"] * groups
+    assert phases == ["triangles", "out_pass", "in_pass"]
     assert_tables_agree(g)
     monkeypatch.setattr(folty.engine, "KEY_CAP", cap)
     assert_tables_agree(g)
@@ -321,11 +324,37 @@ def test_count_tables_in_window_groups(monkeypatch, cap):
     in_folds = []
     fold_ranges = folty.engine._fold_ranges
     monkeypatch.setattr(folty.engine, "_fold_ranges", lambda *args: in_folds.append(1) or fold_ranges(*args))
-    monkeypatch.setattr(folty.engine, "BLOCK", 4)  # several in-side blocks per expansion
+    monkeypatch.setattr(folty.graph, "BLOCK", 4)  # several in-side blocks per expansion
     count_tables(g, SWEEP_DELTAS)
     assert len(folds) > len(windows)  # not only the last fold of each expansion
     assert len(in_folds) > len(windows)
     assert_tables_agree(g)
+
+
+def test_count_tables_memory_is_the_tables(monkeypatch):
+    """Thirty windows counted in one expansion, with folds every 4m keys:
+    the traced peak is the returned tables (in, out and totals, 8 bytes
+    per edge and window each) plus at most 16 bytes per edge. Measured at
+    up to 1.5 bytes per edge over random graphs of 15k-30k edges."""
+    rng = np.random.default_rng(0xD1FF)
+    u, v, t = rng.integers(0, 600, 20000), rng.integers(0, 600, 20000), rng.integers(0, 5000, 20000)
+    keep = u != v
+    g = TemporalGraph.from_edges(zip(u[keep].tolist(), v[keep].tolist(), t[keep].tolist()))
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    g.entry_pairs(ordering)
+    deltas = list(range(0, 5000, 170))
+    monkeypatch.setattr(folty.engine, "KEY_CAP", 4 * g.m)
+    tracemalloc.start()
+    try:
+        tables = count_tables(g, deltas, static, ordering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == len(folty.engine._windows(g, deltas)) == 30
+    result = sum(a.nbytes for table in tables for a in (table.in_array, table.out_array, table.totals_array))
+    assert result == 3 * 30 * 8 * g.m
+    assert peak < result + 16 * g.m
 
 
 # -- the in side as disjoint ranges --------------------------------------------
@@ -377,7 +406,7 @@ def test_in_side_folds_mid_expansion(monkeypatch, windows):
     assert len(grid) == windows
     want = folty.engine._in_counts(g, ordering, grid)
     monkeypatch.setattr(folty.engine, "KEY_CAP", 16)
-    monkeypatch.setattr(folty.engine, "BLOCK", 8)
+    monkeypatch.setattr(folty.graph, "BLOCK", 8)
     folds = []
     fold_ranges = folty.engine._fold_ranges
     monkeypatch.setattr(folty.engine, "_fold_ranges", lambda *args: folds.append(1) or fold_ranges(*args))
@@ -439,7 +468,7 @@ def test_repeated_counts_on_one_ordering(monkeypatch, block):
     """Many compute_counts calls on one ordering reuse its pair-id map and
     keep matching the oracle, for one-direction pairs and triangle-free
     graphs too."""
-    monkeypatch.setattr(folty.engine, "BLOCK", block)
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
     rng = random.Random(0xD1FE + block)
     cycle = [(i, (i + 1) % 6, t) for i in range(6) for t in (i, i + 3)]
     graphs = [TemporalGraph.from_edges(cycle)]

@@ -61,16 +61,15 @@ def test_sweep_rows_identical_across_engines(graph_path, kind):
 
 def test_count_runs_keep_one_entry_per_delta(graph_path):
     deltas = sorted(set(DELTAS))
-    _, meta = run_sweep(graph_path, "eae", DELTAS, TAUS)
-    runs = meta["count_runs"]
-    assert [r["delta_s"] for r in runs] == deltas
-    # The shared expansion is charged to the first delta.
-    assert set(runs[0]) == {"delta_s", "triangles_ms", "out_pass_ms", "in_pass_ms"}
-    assert all(r == {**dict.fromkeys(runs[0], 0.0), "delta_s": r["delta_s"]} for r in runs[1:])
-    _, meta = run_sweep(graph_path, "eae", DELTAS, TAUS, engine="practical")
-    runs = meta["count_runs"]
-    assert [r["delta_s"] for r in runs] == deltas
-    assert all(r["triangles_ms"] == r["in_pass_ms"] == 0.0 for r in runs)
+    for engine in ("folty", "practical"):
+        _, meta = run_sweep(graph_path, "eae", DELTAS, TAUS, engine=engine)
+        runs = meta["count_runs"]
+        assert [r["delta_s"] for r in runs] == deltas
+        # The one counting call is charged to the first delta.
+        assert set(runs[0]) == {"delta_s", "triangles_ms", "out_pass_ms", "in_pass_ms"}
+        assert runs[0]["out_pass_ms"] > 0.0, engine
+        assert all(r == {**dict.fromkeys(runs[0], 0.0), "delta_s": r["delta_s"]} for r in runs[1:]), engine
+    assert runs[0]["triangles_ms"] == runs[0]["in_pass_ms"] == 0.0  # practical laps all as out_pass
 
 
 def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch):
