@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -117,7 +116,9 @@ def run_query(
     engine: str = "folty",
     ceiling: int = DEFAULT_CEILING,
 ) -> dict:
-    """Execute one query and return the run report as a JSON-ready dict."""
+    """Execute one query and return its run report: a dict whose "solutions"
+    entry is the query's SolutionSet, held as columns; _format_report writes
+    it as JSON, CSV or text without building a row per solution."""
     kind = validate_kind(kind)
     lap = _Laps()
     g = _load(path)
@@ -141,7 +142,7 @@ def run_query(
             "engine": engine,
         },
         "num_solutions": solset.total,
-        "solutions": [sol._asdict() for sol in solset.solutions],
+        "solutions": solset,
         "graph": {
             "n": stats.n,
             "m": stats.m,
@@ -212,7 +213,7 @@ def run_sweep(
 ) -> tuple[list[dict], dict]:
     """Run the (delta, tau) grid: one counting call gives every delta's count
     table (the folty engine from one expansion), and each table serves every
-    tau.
+    tau. A row reads only its answer's total, so no solution row is built.
 
     Returns (rows, meta). meta["count_runs"] has one entry per delta with its
     counting-phase timings; the one counting call is charged to the first
@@ -255,16 +256,43 @@ def run_sweep(
     return rows, {"count_runs": count_runs}
 
 
+#: Per row type, one solution of the JSON report as json.dumps(indent=2,
+#: sort_keys=True) writes an item of "solutions" (with the separator before
+#: it), the columns in that key order, and one line of the text report.
+_JSON_ROW = {
+    row: (",\n    {\n" + ",\n".join(f'      "{key}": %d' for key in sorted(row._fields)) + "\n    }",
+          [row._fields.index(key) for key in sorted(row._fields)])
+    for row in (Certificate, VertexSolution)
+}
+_TEXT_ROW = {Certificate: "  %d %d %d count=%d/%d\n", VertexSolution: "  vertex %d satisfied=%d/%d\n"}
+
+
+def _rows(template: str, columns: list[list[int]]) -> str:
+    """template % row for each row of the columns, concatenated: one % over
+    the columns interleaved."""
+    width, k = len(columns), len(columns[0])
+    flat = [0] * (width * k)
+    for i, column in enumerate(columns):
+        flat[i::width] = column
+    return template * k % tuple(flat)
+
+
 def _format_report(report: dict, fmt: str) -> str:
+    """The report as JSON, as CSV (the solutions alone) or as text. The
+    solutions are written from their columns through a fixed template per
+    row type: the JSON reads as json.dumps(indent=2, sort_keys=True) of the
+    report with each solution a dict, the CSV as csv.DictWriter writes those
+    dicts."""
+    solset: SolutionSet = report["solutions"]
+    row = solset.row
+    columns = solset.columns()
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
+        head, tail = json.dumps({**report, "solutions": []}, indent=2, sort_keys=True).split('"solutions": []')
+        template, order = _JSON_ROW[row]
+        body = f"[{_rows(template, [columns[i] for i in order])[1:]}\n  ]" if solset.total else "[]"
+        return f'{head}"solutions": {body}{tail}'
     if fmt == "csv":
-        eea = report["query"]["kind"] == "eea"
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, Certificate._fields if eea else VertexSolution._fields)
-        writer.writeheader()
-        writer.writerows(report["solutions"])
-        return buf.getvalue()
+        return ",".join(row._fields) + "\r\n" + _rows(",".join(["%d"] * len(columns)) + "\r\n", columns)
     lines = []
     q = report["query"]
     lines.append(
@@ -279,12 +307,7 @@ def _format_report(report: dict, fmt: str) -> str:
     tm = report["timings_ms"]
     lines.append("time   " + " ".join(f"{k}={ms:.1f}ms" for k, ms in tm.items()))
     lines.append(f"num_solutions {report['num_solutions']}")
-    for s in report["solutions"]:
-        if "src" in s:
-            lines.append(f"  {s['src']} {s['dst']} {s['t']} count={s['count']}/{s['universe_size']}")
-        else:
-            lines.append(f"  vertex {s['vertex']} satisfied={s['satisfied']}/{s['degree']}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _rows(_TEXT_ROW[row], columns)
 
 
 def _parse_tau_list(args) -> list[Fraction]:

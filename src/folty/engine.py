@@ -70,7 +70,7 @@ class CountTable:
     ints, built on first use.
     """
 
-    __slots__ = ("in_array", "out_array", "totals_array", "delta", "_lists", "_pair_max")
+    __slots__ = ("in_array", "out_array", "totals_array", "delta", "_lists", "_pair_max", "_nonzero")
 
     def __init__(self, in_count: Sequence[int], out_count: Sequence[int], delta: int):
         self.in_array = np.asarray(in_count, dtype=np.int64)
@@ -79,6 +79,7 @@ class CountTable:
         self.delta = delta
         self._lists: dict[str, list[int]] = {}
         self._pair_max: np.ndarray | None = None
+        self._nonzero: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"CountTable(in_count={self.in_count}, out_count={self.out_count}, delta={self.delta})"
@@ -116,6 +117,13 @@ class CountTable:
         if self._pair_max is None:
             self._pair_max = g.pair_max(self.totals_array)
         return self._pair_max
+
+    def nonzero(self, g: TemporalGraph) -> tuple[np.ndarray, np.ndarray]:
+        """The edges with a non-zero total, ascending, and their pair ids in
+        g, the graph this table counts; built on first use."""
+        if self._nonzero is None:
+            self._nonzero = g.nonzero_edges(self.totals_array)
+        return self._nonzero
 
 
 def oriented_triangles(
@@ -298,6 +306,11 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
             base = pt[block][job] * r
             hi = comp[i] - q2 * r + base + 1
             floor = np.where(head, base, comp[i - 1] - q2 * r + base + 1)
+            # A fold holds whole blocks and, unless one block alone is
+            # larger, at most KEY_CAP ranges.
+            if pending and pending + len(hi) * len(windows) > KEY_CAP:
+                _fold_ranges(in_count, g, los, his)
+                pending = 0
             # Largest window first: each smaller one keeps a subset.
             for j in range(len(windows) - 1, -1, -1):
                 los[j].append(np.maximum(floor, base + np.searchsorted(g.t_distinct, _minus(t3, windows[j]))))
@@ -306,9 +319,6 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
                 if j:
                     sel = span <= windows[j - 1]
                     t3, span, hi, floor, base = t3[sel], span[sel], hi[sel], floor[sel], base[sel]
-            if pending >= KEY_CAP:
-                _fold_ranges(in_count, g, los, his)
-                pending = 0
     if pending:
         _fold_ranges(in_count, g, los, his)
     return in_count

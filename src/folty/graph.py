@@ -233,6 +233,11 @@ class TemporalGraph:
             return np.zeros(0, dtype=values.dtype)
         return np.maximum.reduceat(values[self.pair_eid], self.pair_start[:-1])
 
+    def nonzero_edges(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The edges e with values[e] != 0, ascending, and their pair ids."""
+        eids = np.flatnonzero(values)
+        return eids, _find(self.pair_key, self.src[eids] * self.n + self.dst[eids])
+
     def pair_common(self, static: "StaticGraph") -> np.ndarray:
         """|N(x) & N(y)| in `static`, this graph's projection, for each
         directed pair (x, y), in pair order; built on first use."""

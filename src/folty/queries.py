@@ -15,10 +15,11 @@ size per directed pair (x, y), degree[y] or the common count of static edge
 {x, y}, gives each edge the least count max(1, ceil(tau * size)) it needs to
 certify; the least counts are int64 array arithmetic when tau's numerator
 times the largest size and its denominator fit int64, and come from a table
-built in Python integers otherwise, so any Fraction tau stays exact. eea
-lists the edges of that certificate mask. An edge only certifies if it has
-at least one closing neighbor, so empty universes never satisfy the
-quantifier vacuously.
+built in Python integers otherwise, so any Fraction tau stays exact. An edge
+only certifies if it has at least one closing neighbor, so empty universes
+never satisfy the quantifier vacuously, and eea thresholds only the edges
+with a non-zero total: found with their pair ids once per count table
+(CountTable.nonzero).
 
 eae and eaa share one vertex path, built from state that no tau changes: the
 common-neighbor universe sizes, once per graph (TemporalGraph.pair_common),
@@ -28,6 +29,13 @@ certifies iff its largest total does. So a cell costs one least-count table,
 one compare over pairs, one bincount of the hit pairs' sources and one
 compare over vertices. eae takes the pairs whose largest total is >= 1, and
 eaa those that reach the tau2 least count.
+
+An answer (SolutionSet) is kept as the columns these masks select: int64
+arrays, with dense vertex ids that the graph's orig maps to original ids
+when read. Its total is the length of a column. The Certificate or
+VertexSolution rows are built only when `solutions` is first read, so a
+sweep, which reads totals, and the CLI's writers, which format the columns,
+build none.
 """
 
 from __future__ import annotations
@@ -70,17 +78,65 @@ class VertexSolution(NamedTuple):
     degree: int
 
 
-@dataclass
 class SolutionSet:
     """Query answer: certificate edges for eea, vertices for eae/eaa.
 
     Certificates come out sorted by (t, eid); vertices ascending by original
-    id. `total` always equals len(solutions).
+    id. The eval_* functions hold the answer as columns, one int64 array per
+    field of the row type (Certificate or VertexSolution), whose vertex
+    columns hold dense ids that the graph's orig maps to original ids.
+    SolutionSet(kind, solutions, total), as the oracle calls it, holds a
+    list of rows instead. `total` always equals len(solutions) and reading
+    it builds nothing; `solutions`, the list of rows, is built on first
+    read.
     """
 
-    kind: str
-    solutions: list
-    total: int
+    __slots__ = ("kind", "total", "_solutions", "_columns", "_orig")
+
+    def __init__(self, kind: str, solutions: list | None, total: int):
+        self.kind = kind
+        self.total = total
+        self._solutions = solutions
+        self._columns: tuple[np.ndarray, ...] = ()
+        self._orig: list[int] = []
+
+    @classmethod
+    def _from_columns(cls, kind: str, columns: tuple[np.ndarray, ...], orig: list[int]) -> SolutionSet:
+        solset = cls(kind, None, len(columns[0]))
+        solset._columns = columns
+        solset._orig = orig
+        return solset
+
+    @property
+    def row(self) -> type:
+        """The row type: Certificate for eea, VertexSolution otherwise."""
+        return Certificate if self.kind == "eea" else VertexSolution
+
+    def columns(self) -> list[list[int]]:
+        """One list of Python ints per field of the row type, with original
+        vertex ids; built without building the rows."""
+        if not self._columns:
+            return [list(column) for column in zip(*self._solutions)] or [[] for _ in self.row._fields]
+        ids = 2 if self.kind == "eea" else 1  # src and dst, or vertex
+        orig = self._orig.__getitem__
+        return [list(map(orig, c.tolist())) if i < ids else c.tolist() for i, c in enumerate(self._columns)]
+
+    @property
+    def solutions(self) -> list:
+        if self._solutions is None:
+            row = self.row
+            self._solutions = [row(*values) for values in zip(*self.columns())]
+        return self._solutions
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SolutionSet):
+            return NotImplemented
+        return (self.kind, self.total, self.solutions) == (other.kind, other.total, other.solutions)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SolutionSet(kind={self.kind!r}, solutions={self.solutions!r}, total={self.total})"
 
 
 @dataclass(frozen=True)
@@ -167,12 +223,14 @@ def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
     return np.maximum(np.array(table, dtype=np.int64), floor)[sizes]
 
 
-def _pair_sizes(g: TemporalGraph, static: StaticGraph, universe: Universe) -> np.ndarray:
-    """Universe size of each directed pair (x, y): degree[y], or the common
-    count of static edge {x, y}."""
+def _pair_sizes(
+    g: TemporalGraph, static: StaticGraph, universe: Universe, pairs: np.ndarray | slice = slice(None)
+) -> np.ndarray:
+    """Universe size of each directed pair (x, y) of `pairs` (pair ids, all
+    by default): degree[y], or the common count of static edge {x, y}."""
     if universe is Universe.DST:
-        return np.diff(static.adj_start)[g.pair_key % g.n]
-    return g.pair_common(static)
+        return np.diff(static.adj_start)[g.pair_key[pairs] % g.n]
+    return g.pair_common(static)[pairs]
 
 
 def eval_eea(
@@ -182,18 +240,16 @@ def eval_eea(
     tau: Fraction,
     universe: Universe = Universe.DST,
 ) -> SolutionSet:
-    """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|."""
+    """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|:
+    only the edges with a non-zero total are thresholded."""
     _check_tau(tau)
     totals = _totals_array(counts)
-    size = np.empty(g.m, dtype=np.int64)
-    size[g.pair_eid] = np.repeat(_pair_sizes(g, static, universe), np.diff(g.pair_start))
-    eids = np.flatnonzero(totals >= _least(tau, size, 1))
-    orig = g.orig
-    certs = [
-        Certificate(orig[u], orig[v], t, c, s)
-        for u, v, t, c, s in zip(*(col[eids].tolist() for col in (g.src, g.dst, g.ts, totals, size)))
-    ]
-    return SolutionSet("eea", certs, len(certs))
+    eids, pairs = counts.nonzero(g) if isinstance(counts, CountTable) else g.nonzero_edges(totals)
+    count = totals[eids]
+    size = _pair_sizes(g, static, universe, pairs)
+    keep = count >= _least(tau, size, 1)
+    eids = eids[keep]
+    return SolutionSet._from_columns("eea", (g.src[eids], g.dst[eids], g.ts[eids], count[keep], size[keep]), g.orig)
 
 
 def _vertex_query(
@@ -208,12 +264,7 @@ def _vertex_query(
     satisfied = np.bincount(g.pair_key[hit] // g.n, minlength=g.n)
     degree = np.diff(static.adj_start)
     vertices = np.flatnonzero(satisfied >= _least(tau, degree, 0))
-    orig = g.orig
-    sols = [
-        VertexSolution(orig[u], s, d)
-        for u, s, d in zip(vertices.tolist(), satisfied[vertices].tolist(), degree[vertices].tolist())
-    ]
-    return SolutionSet(kind, sols, len(sols))
+    return SolutionSet._from_columns(kind, (vertices, satisfied[vertices], degree[vertices]), g.orig)
 
 
 def eval_eae(

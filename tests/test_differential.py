@@ -416,6 +416,41 @@ def test_in_side_folds_mid_expansion(monkeypatch, windows):
         assert table.totals() == oracle_counts(g, delta, static).count, delta
 
 
+@pytest.mark.parametrize("windows", [1, 3, 5])
+def test_in_side_folds_hold_at_most_key_cap(monkeypatch, windows):
+    """When one block's ranges fit under KEY_CAP, no fold holds more than
+    KEY_CAP ranges: a block that would push the collected ranges past it is
+    folded with the next ones. The counts do not change."""
+    g = TemporalGraph.from_edges(hub_edges(random.Random(0xD202 + windows), 300, 60, 200))
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    deltas = [40, 0, 10**30, 3, 150][:windows]
+    grid = folty.engine._windows(g, deltas)
+    cap, block = 60 * windows, 8
+    # A block expands at most BLOCK entries plus its last list, each giving
+    # one range per window; the in side's L2 lists are the witnesses' lists.
+    x, y = np.divmod(g.pair_key, g.n)
+    hub = [g.orig.index(0), g.orig.index(1)]
+    witness_lists = np.diff(g.pair_start)[~(np.isin(x, hub) & np.isin(y, hub))]
+    assert (block + witness_lists.max()) * windows <= cap
+    monkeypatch.setattr(folty.engine, "KEY_CAP", cap)
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    held = []
+    fold_ranges = folty.engine._fold_ranges
+
+    def counting(in_count, g, los, his):
+        held.append(sum(len(lo) for window in los for lo in window))
+        fold_ranges(in_count, g, los, his)
+
+    monkeypatch.setattr(folty.engine, "_fold_ranges", counting)
+    counts = folty.engine._in_counts(g, ordering, grid)
+    assert len(held) > 3 and max(held) <= cap, held
+    monkeypatch.undo()
+    assert np.array_equal(counts, folty.engine._in_counts(g, ordering, grid))
+    for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
+        assert table.totals() == oracle_counts(g, delta, static).count, delta
+
+
 def test_count_table_arrays_and_lazy_lists():
     table = CountTable([1, 0], [2, 3], 5)
     assert table.totals() == [3, 3] and table.totals() is table.totals()

@@ -73,8 +73,9 @@ def test_count_runs_keep_one_entry_per_delta(graph_path):
 
 
 def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch):
-    """Building a table's pair state (and, once, the graph's) lands in the
-    elapsed_ms of the first row that uses it, so Σ elapsed_ms covers all
+    """Building a table's state (each pair's largest total for eaa, the
+    non-zero edges and their pairs for eea) and, once, the graph's lands in
+    the elapsed_ms of the first row that uses it, so Σ elapsed_ms covers all
     threshold work."""
     now = [0.0]
 
@@ -92,9 +93,11 @@ def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch):
     monkeypatch.setattr(folty.cli.time, "perf_counter", clock)
     temporal, static = folty.graph.TemporalGraph, folty.graph.StaticGraph
     monkeypatch.setattr(temporal, "pair_max", slow(temporal.pair_max, 100.0))
+    monkeypatch.setattr(temporal, "nonzero_edges", slow(temporal.nonzero_edges, 100.0))
     monkeypatch.setattr(static, "common_of", slow(static.common_of, 10_000.0))
-    rows, _ = run_sweep(graph_path, "eaa", DELTAS, TAUS, Fraction(1, 3), Universe.COMMON)
-    elapsed = [r["elapsed_ms"] for r in rows]
-    heavy = [i for i, ms in enumerate(elapsed) if ms > 50_000]
-    assert heavy == list(range(0, len(rows), len(TAUS)))
-    assert elapsed[0] > 10_000_000 > max(elapsed[1:])
+    for kind in ("eaa", "eea"):
+        rows, _ = run_sweep(graph_path, kind, DELTAS, TAUS, Fraction(1, 3), Universe.COMMON)
+        elapsed = [r["elapsed_ms"] for r in rows]
+        heavy = [i for i, ms in enumerate(elapsed) if ms > 50_000]
+        assert heavy == list(range(0, len(rows), len(TAUS))), kind
+        assert elapsed[0] > 10_000_000 > max(elapsed[1:]), kind
