@@ -4,9 +4,10 @@ The input format is one directed temporal edge per line, "src dst t", with
 ids as non-negative integers and timestamps as signed 64-bit integers
 (seconds). Lines starting with '#' are comments. Self-loops are dropped at
 parse time. Parallel edges, including exact duplicate lines, are kept as
-distinct edges. Bytes and binary files are tokenized by one numpy.loadtxt
-call over the whole buffer; the line loop parses whatever that call
-declines, so every ParseError names its line.
+distinct edges. Bytes and binary files are read by one np.fromstring call
+over the whole buffer, once exact array checks show that every line holds
+three plain integer fields or none; the line loop parses whatever those
+checks decline, so every ParseError names its line.
 
 Every input reaches the graph arrays through one build, the TemporalGraph
 constructor: the array parse hands it int64 columns, and the line loop, a
@@ -314,15 +315,24 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     both work. Malformed lines raise ParseError with the line number.
 
     A binary file object is read whole and then parsed like bytes: without
-    its comment lines, by one numpy.loadtxt call straight into int64
-    columns. Input that needs a decision per line (a lone '\r', which
-    bytes.splitlines treats as a line break and a file does not, a '#'
-    other than at the start of a line's first field, a non-ASCII byte, a
-    line without three fields, a field that is not a plain int64, or a
-    negative id) is parsed again from line 1 by the line loop, which gives
-    every message and line number. The line loop reads the bytes already
-    read, so the stream need not be seekable. str input and text file
-    objects go to the line loop directly.
+    its comment lines, by one np.fromstring call straight into int64
+    values, after checks that give the same answer as the line loop:
+    - Fields split by one space or tab, lines ended by LF or CRLF: one
+      bytes.translate that keeps only the separators shows every line holds
+      three fields at most, and the value count shows it holds three.
+    - Blank lines, runs of spaces and tabs, or whitespace at either end of
+      a line: array operations count the fields that start on each line.
+    - A '+' or '-' must start a field and come before a digit.
+    - No value may be at an int64 bound, where out-of-range text saturates.
+    Anything else is parsed again from line 1 by the line loop, which gives
+    every message and line number: a lone '\r', which bytes.splitlines
+    treats as a line break and a file does not, a '#' other than at the
+    start of a line's first field, any byte but a digit, sign, space, tab
+    or line break (non-ASCII, a vertical tab, '_', 'x'), a line without
+    three fields, a misplaced sign, a value at an int64 bound, or a negative
+    id. The line loop reads the bytes already read, so the stream need not
+    be seekable. str input and text file objects go to the line loop
+    directly.
     """
     if isinstance(data, bytes):
         raw, lines = data, bytes.splitlines
@@ -339,36 +349,84 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
 
 def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
     """Loop-free (u, v, t) int64 columns and the self-loop count of `data`,
-    or None if a line needs the line loop."""
-    # A lone '\r' ends a line for bytes.splitlines but not in a file, and
-    # loadtxt rejects one inside a line only as "currently not supported".
+    or None if a line needs the line loop.
+
+    One np.fromstring call reads every field. It does not see lines and it
+    saturates out-of-range values, so its values are trusted only once the
+    text is known to hold three plain integer fields on every line that is
+    not blank, and no value is at an int64 bound. The columns are strided
+    views of its one buffer."""
+    # A lone '\r' ends a line for bytes.splitlines but not in a file.
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     if b"#" in data:
         data = _drop_comments(data)
         if data is None:
             return None
-    # loadtxt decodes latin-1, where b"\xa0" and b"\x85" are whitespace
-    if not data.isascii():
+    # The separators: what is left without the fields and the '\r' of each
+    # '\r\n', tabs read as spaces. Lines of three fields split by one space
+    # or tab leave "  \n" each, the last line "  " if it has no '\n'.
+    gaps = data.translate(bytes.maketrans(b"\t", b" "), b"0123456789+-\r")
+    k, open_end = len(gaps) // 3, bool(data) and not data.endswith(b"\n")
+    if gaps == b"  \n" * k + b"  " * open_end:
+        lines = k + open_end  # each holds three fields at most
+    elif gaps.translate(None, b" \n"):
+        return None  # a byte no field or separator holds
+    else:
+        lines = _three_field_lines(data)
+    if not lines or ((b"-" in data or b"+" in data) and not _signs_lead(data)):
         return None
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # e.g. "input contained no data"
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns on unmatched data
         try:
-            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None, ndmin=2)
-        except (ValueError, Warning):
+            values = np.fromstring(data, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
             return None
-    if rows.shape[1] != 3:
+    # One value per field, so 3 per line when no line holds more than 3.
+    if len(values) != 3 * lines:
         return None
-    block = np.ascontiguousarray(rows.T)  # one pass, not a strided copy per column
-    del rows
-    if block[:2].min() < 0:
+    lo, hi = values.min(), values.max()
+    if lo == _I64_MIN or hi == _I64_MAX:
+        return None  # out-of-range text reads as a bound; the line loop tells which
+    rows = values.reshape(-1, 3)
+    if lo < 0 and rows[:, :2].min() < 0:
         return None
-    keep = block[0] != block[1]
+    keep = rows[:, 0] != rows[:, 1]
     dropped = len(keep) - int(np.count_nonzero(keep))
     if dropped:
-        block = block[:, keep]
-    u, v, t = block
-    return u, v, t, dropped
+        rows = rows[keep]
+    return rows[:, 0], rows[:, 1], rows[:, 2], dropped
+
+
+def _three_field_lines(data: bytes) -> int | None:
+    """The number of lines of `data` that hold three fields, or None if a
+    line holds neither 0 nor 3; `data` is not empty and has only digits,
+    signs, spaces, tabs and line breaks."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    field = b > 32  # every byte <= 32 left is a separator
+    marks = np.empty_like(field)
+    marks[0] = field[0]
+    np.greater(field[1:], field[:-1], out=marks[1:])  # where a field starts
+    marks |= np.equal(b, 10, out=field)  # or a line ends
+    del field
+    events = np.flatnonzero(marks)
+    del marks
+    ends = np.flatnonzero(b[events] == 10)
+    per_line = np.diff(ends, prepend=-1, append=len(events))
+    per_line -= 1  # the fields between two line ends
+    if ((per_line != 0) & (per_line != 3)).any():
+        return None
+    return (len(events) - len(ends)) // 3
+
+
+def _signs_lead(data: bytes) -> bool:
+    """Whether every '+' and '-' in `data` starts a field, after a separator
+    or at the start, and comes before a digit."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
+    before = b[at - 1]
+    after = b[np.minimum(at + 1, len(b) - 1)]  # a sign at the end reads itself
+    return bool((((before <= 32) | (at == 0)) & (after >= ord("0")) & (after <= ord("9"))).all())
 
 
 def _drop_comments(data: bytes) -> bytes | None:
@@ -526,31 +584,37 @@ class StaticGraph:
 
     u's neighbors are adj_nbr[adj_start[u]:adj_start[u + 1]], ascending; the
     static edges are the columns edge_u < edge_v, ascending by key
-    u * n + v. degree is a list of Python ints. adj and edges are list views
-    built on first use and edge_degree a list computed on each access, for
-    the oracle, the practical engine and tests. Common-neighbor counts, the
+    u * n + v. degree, adj and edges are list views built on first use and
+    edge_degree a list computed on each access, for the oracle, the
+    practical engine and tests. Common-neighbor counts, the
     triangles on each edge, are one int64 array aligned with the edge
     columns, built on first use from the triangle entries of the last
     ordering degeneracy_order built for this graph.
     """
 
-    __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v", "degree",
-                 "_adj", "_edges", "_adj_sets", "_common", "_ordering")
+    __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v",
+                 "_degree", "_adj", "_edges", "_adj_sets", "_common", "_ordering")
 
     def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
         self.n = n
         self.adj_start = adj_start
         self.adj_nbr = adj_nbr
-        deg = np.diff(adj_start)
-        self.degree = deg.tolist()
-        own = np.repeat(np.arange(n, dtype=np.int64), deg)
+        own = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj_start))
         upper = own < adj_nbr
         self.edge_u, self.edge_v = own[upper], adj_nbr[upper]
+        self._degree: list[int] | None = None
         self._adj: list[list[int]] | None = None
         self._edges: list[tuple[int, int]] | None = None
         self._adj_sets: list[set[int]] | None = None
         self._common: np.ndarray | None = None
         self._ordering: DegeneracyOrdering | None = None
+
+    @property
+    def degree(self) -> list[int]:
+        """degree[u]: u's number of neighbors."""
+        if self._degree is None:
+            self._degree = np.diff(self.adj_start).tolist()
+        return self._degree
 
     @property
     def adj(self) -> list[list[int]]:
@@ -626,25 +690,45 @@ def build_static(g: TemporalGraph) -> StaticGraph:
 class DegeneracyOrdering:
     """Level-batch peeling order and the orientation it induces.
 
-    pi[u] is u's rank in the removal order (0 removed first); alpha is the
-    degeneracy, the largest residual degree seen at any removal. The
-    orientation points each static edge from its lower-rank endpoint to the
-    other, in CSR form: u's out-neighbors are
-    out_nbr[out_start[u]:out_start[u + 1]], ascending by id; out_adj is the
-    same as a list of lists, built on first use.
+    pi[u] is u's rank in the removal order (0 removed first) and order the
+    vertices in that order; both are given as int64 arrays or lists and read
+    as lists of Python ints, built on first read. alpha is the degeneracy,
+    the largest residual degree seen at any removal. The orientation points
+    each static edge from its lower-rank endpoint to the other, in CSR form:
+    u's out-neighbors are out_nbr[out_start[u]:out_start[u + 1]], ascending
+    by id; out_adj is the same as a list of lists, built on first use.
     """
 
-    __slots__ = ("pi", "order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangle_entries", "_triangles")
+    __slots__ = ("_pi", "_order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangle_entries", "_triangles")
 
-    def __init__(self, pi: list[int], order: list[int], alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
-        self.pi = pi
-        self.order = order
+    def __init__(
+        self,
+        pi: np.ndarray | list[int],
+        order: np.ndarray | list[int],
+        alpha: int,
+        out_start: np.ndarray,
+        out_nbr: np.ndarray,
+    ):
+        self._pi = pi
+        self._order = order
         self.alpha = alpha
         self.out_start = out_start
         self.out_nbr = out_nbr
         self._out_adj: list[list[int]] | None = None
         self._triangle_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._triangles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def pi(self) -> list[int]:
+        if not isinstance(self._pi, list):
+            self._pi = self._pi.tolist()
+        return self._pi
+
+    @property
+    def order(self) -> list[int]:
+        if not isinstance(self._order, list):
+            self._order = self._order.tolist()
+        return self._order
 
     @property
     def out_adj(self) -> list[list[int]]:
@@ -671,7 +755,7 @@ class DegeneracyOrdering:
         use."""
         if self._triangles is None:
             ab, ac, _ = self.triangle_entries()
-            tail = np.repeat(np.arange(len(self.pi), dtype=np.int64), np.diff(self.out_start))
+            tail = np.repeat(np.arange(len(self.out_start) - 1, dtype=np.int64), np.diff(self.out_start))
             self._triangles = (tail[ab], self.out_nbr[ab], self.out_nbr[ac])
         return self._triangles
 
@@ -731,9 +815,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     u, v = static.edge_u, static.edge_v
     up = ranks[u] < ranks[v]
     tail, out_nbr = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
-    static._ordering = DegeneracyOrdering(
-        ranks.tolist(), order.tolist(), k, np.searchsorted(tail, np.arange(n + 1)), out_nbr
-    )
+    static._ordering = DegeneracyOrdering(ranks, order, k, np.searchsorted(tail, np.arange(n + 1)), out_nbr)
     return static._ordering
 
 

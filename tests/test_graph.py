@@ -187,6 +187,15 @@ PARSE_CASES = {
     "nul_inside_field": b"1 2\x003\n",
     "lone_cr_first": b"\r1 2 3\n",
     "cr_before_crlf": b"1 2 3\r\r\n",
+    "sign_inside_field_count_compensated": b"1 2 3-4\n5  6\n",
+    "plus_inside_field": b"1 2 3+4\n",
+    "lone_minus": b"1 2 -\n",
+    "double_minus": b"1 2 --3\n",
+    "plus_minus": b"1 2 +-3\n",
+    "ts_minus_2_64": f"1 2 {-(2**64)}\n".encode(),
+    "ts_9_3e18": b"1 2 9300000000000000000\n",
+    "ts_max_leading_zeros": b"1 2 0009223372036854775807\n",
+    "tabs_crlf": b"1\t2\t3\r\n4\t5\t-6\r\n5\t5\t7\r\n2\t1\t3\r\n",
 }
 
 
@@ -243,6 +252,23 @@ def refuse_line_loop(lines):
     raise AssertionError("line loop called")
 
 
+def refuse_general_check(data):
+    raise AssertionError("general line check called")
+
+
+def memory_input() -> bytes:
+    """About 60k shuffled edges over sparse ids, each pair repeated 1-5
+    times, as "src dst t" lines."""
+    rng = np.random.default_rng(0xB17E)
+    ids = rng.choice(1 << 20, 12000, replace=False)
+    u, v = ids[rng.integers(0, len(ids), (2, 20000))]
+    reps = rng.integers(1, 6, len(u))
+    u, v = np.repeat(u, reps), np.repeat(v, reps)
+    t = rng.integers(1_600_000_000, 1_600_000_000 + 365 * 86400, len(u))
+    order = rng.permutation(len(u))
+    return b"".join(b"%d %d %d\n" % row for row in zip(u[order].tolist(), v[order].tolist(), t[order].tolist()))
+
+
 class TestArrayParse:
     """The int64 parse of bytes and binary streams against the line loop,
     which decides every input the array parse hands back. `step` is the
@@ -270,6 +296,19 @@ class TestArrayParse:
             g = parse_edge_list(source)
             assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
             assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
+        # Runs of spaces and tabs, whitespace at either end of a line and
+        # blank lines: the general check counts the fields per line.
+        irregular = b"  1 2\t 3 \r\n\n \t\n4  5 6\t\n7 7 8\n+10\t\t-0   -9  "
+        # One space or tab between fields, LF or CRLF: the canonical check
+        # alone decides the structure.
+        canonical = b"1 2 3\n4 5 6\n7 7 8\n+10 -0 -9\n"
+        for data in (irregular, canonical, canonical[:-1], canonical.replace(b" ", b"\t"), canonical.replace(b"\n", b"\r\n")):
+            if data is canonical:
+                monkeypatch.setattr(folty.graph, "_three_field_lines", refuse_general_check)
+            for source in (data, io.BytesIO(data), NonSeekable(data)):
+                g = parse_edge_list(source)
+                assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
+                assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
 
     def test_underscores_take_line_loop(self, monkeypatch):
         data = b"1_000 2 3\n"
@@ -307,23 +346,31 @@ class TestArrayParse:
         graph keeps, per edge. Measured 118.6 and 69.0 B/edge over five
         seeds; the ceilings leave less than one more int64 column kept, and
         under 10 B/edge at the peak."""
-        rng = np.random.default_rng(0xB17E)
-        ids = rng.choice(1 << 20, 12000, replace=False)
-        u, v = ids[rng.integers(0, len(ids), (2, 20000))]
-        reps = rng.integers(1, 6, len(u))
-        u, v = np.repeat(u, reps), np.repeat(v, reps)
-        t = rng.integers(1_600_000_000, 1_600_000_000 + 365 * 86400, len(u))
-        order = rng.permutation(len(u))
-        data = b"".join(b"%d %d %d\n" % row for row in zip(u[order].tolist(), v[order].tolist(), t[order].tolist()))
+        data = memory_input()
         tracemalloc.start()
         try:
             g = parse_edge_list(data)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.m + g.self_loops_dropped == len(u) > 55000
+        assert g.m + g.self_loops_dropped == data.count(b"\n") > 55000
         assert peak < 128 * g.m
         assert kept < 74 * g.m
+
+    def test_parse_memory_per_edge(self):
+        """_parse_array alone on test_build_memory_per_edge's input: the
+        traced peak per edge. Measured 28.0 B/edge: the one int64 buffer of
+        three values per edge and the separators' 3 bytes per line; a
+        transposed copy of the buffer would add 24."""
+        data = memory_input()
+        tracemalloc.start()
+        try:
+            u, v, t, dropped = folty.graph._parse_array(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t) + dropped == data.count(b"\n") > 55000
+        assert peak <= 36 * len(t)
 
     def test_ids_beyond_int64_kept_exact(self):
         g = parse_edge_list(PARSE_CASES["ids_from_2_63"])
