@@ -10,7 +10,9 @@ Engines:
     out-neighbor pass (chained searches) and an in-neighbor pass (each
     witness entry's disjoint range of times, counted per edge), both vectorized
     over the graph's CSR pair layout. ``count_tables`` counts several deltas
-    from one expansion; ``compute_counts`` is its one-delta case.
+    from one expansion: each out-side hit and each in-side range is found
+    once, and only the range's lower bound is cut per delta.
+    ``compute_counts`` is its one-delta case.
   * ``practical_counts`` is a simpler baseline that walks every static
     triangle from the lower-degree endpoint.
   * ``oracle_counts`` is a brute-force reference used for cross-validation.

@@ -24,20 +24,24 @@ lists by pair id; every chained lookup is one np.searchsorted on the
 composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The pair ids
 of x -> y and y -> x are found once per (graph, ordering) for each entry
 x -> y that a triangle uses (TemporalGraph.entry_pairs), so a triangle's
-six directed pair ids are gathers by its entries. The graph layer's BLOCK,
-read at call time, bounds the temporaries of both layers: the passes slice
-the entry columns BLOCK triangles at a time into jobs, and jobs run in
-blocks of about BLOCK expanded entries through _blocks and _entries, which
-the triangle listing uses too. KEY_CAP bounds the hits and ranges collected
-before a fold credits them. Window checks compare t3 - t as an unsigned
-64-bit difference, so timestamps at the int64 extremes and any delta are
-exact.
+six directed pair ids are gathers by its entries. One generator (_expand)
+serves both passes: it slices the entry columns BLOCK triangles at a time
+into jobs and expands each job's first list in blocks of about BLOCK
+entries through _blocks and _entries, which the triangle listing uses too;
+the graph layer's BLOCK, read at call time, bounds the temporaries of both
+layers. _next_entry is the one chained lookup: the out side calls it twice
+per entry, the in side once. KEY_CAP bounds the hits or ranges collected
+before a fold credits them (_capped). Window checks compare t3 - t as an
+unsigned 64-bit difference, so timestamps at the int64 extremes and any
+delta are exact.
 
 The chains themselves do not depend on delta: only the final window check
 does. So one expansion serves every delta of a sweep (count_tables). The out
 side buckets each hit's window t3 - t by the sorted windows and takes a
-cumulative sum over them; the in side finds its chains once per block and
-builds the ranges per window. A single delta is the one-window case.
+cumulative sum over them. The in side keeps each range once, as the parts of
+its bounds that no window changes and its t3; each fold sorts the upper
+bounds once and cuts the lower bound per window. A single delta is the
+one-window case.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ from .graph import _blocks, _entries
 # this module because the benchmark's tracer and its tests look it up here.
 from .segtree import IntervalSegmentTree  # noqa: F401
 
-#: Out-side hits or in-side ranges (16 bytes each) collected before one fold
-#: credits them to the count table.
+#: Out-side hits (span, eid: 16 bytes each) or in-side ranges (floor, hi,
+#: t3: 24 bytes each) collected before one fold credits them to the table.
 KEY_CAP = 1 << 22
 
 _SIGN = np.uint64(1 << 63)
@@ -161,17 +165,54 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
     return np.where(d > u ^ _SIGN, _I64_MIN, (u - d).view(np.int64))
 
 
-def _triangle_blocks(g: TemporalGraph, ordering: DegeneracyOrdering) -> Iterator[tuple[np.ndarray, ...]]:
-    """The pair ids of each triangle's directed pairs (ab, ba, ac, ca, bc,
-    cb), -1 where a pair has no edge, graph.BLOCK triangles at a time.
-    Each column is a gather from g.entry_pairs by the triangles' orientation
-    entries."""
+def _expand(
+    g: TemporalGraph, ordering: DegeneracyOrdering, lists: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield (i, *q): the entries i of jobs' first lists, about
+    graph.BLOCK at a time, and per entry its job's pair ids, one per row
+    of `lists`.
+
+    Every triangle gives the same jobs, graph.BLOCK triangles at a time:
+    list j of each is row j of `lists`, read as indices into the
+    triangle's directed pairs (ab, ba, ac, ca, bc, cb). Each pair id is a
+    gather from g.entry_pairs by the triangle's orientation entries; jobs
+    with an absent pair (-1) are dropped.
+    """
     fwd, bwd = g.entry_pairs(ordering)
     entries = ordering.triangle_entries()
-    block = graph.BLOCK
+    start, block = g.pair_start, graph.BLOCK
     for lo in range(0, len(entries[0]), block):
         ab, ac, bc = (column[lo : lo + block] for column in entries)
-        yield fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]
+        jobs = np.stack((fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]))[np.array(lists)].reshape(len(lists), -1)
+        jobs = jobs.compress((jobs >= 0).all(axis=0), axis=1)
+        for rows in _blocks(start, jobs[0]):
+            i, job = _entries(start, jobs[0, rows])
+            yield (i, *jobs[:, rows].take(job, axis=1))
+
+
+def _next_entry(g: TemporalGraph, i: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For entries i of pairs qa: the first entry of pair qb at or after
+    each one's time, and whether it exists (else the index is past qb's
+    list)."""
+    j = np.searchsorted(g.pair_comp, g.pair_comp[i] + (qb - qa) * len(g.t_distinct))
+    return j, j < g.pair_start[qb + 1]
+
+
+def _capped(parts: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The parts' columns, concatenated over runs of consecutive parts.
+    A run ends before a part that would take it past KEY_CAP rows, so it
+    holds at most KEY_CAP unless one part alone holds more. Empty runs are
+    skipped."""
+    run: list[tuple[np.ndarray, ...]] = []
+    held = 0
+    for part in parts:
+        if held and held + len(part[0]) > KEY_CAP:
+            yield tuple(map(np.concatenate, zip(*run)))
+            run, held = [], 0
+        run.append(part)
+        held += len(part[0])
+    if held:
+        yield tuple(map(np.concatenate, zip(*run)))
 
 
 def out_pass(
@@ -189,64 +230,50 @@ def _out_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndar
     """out_count for each of one or more ascending uint64 windows, as an
     int64 array of shape (len(windows), m).
 
-    Each triangle (a, b, c) gives four (L1, L2, L3) jobs: pair {a, b} with
-    witness c as (E_ab, E_ac, E_bc) and (E_ba, E_bc, E_ac), and pair {a, c}
-    with witness b as (E_ac, E_ab, E_cb) and (E_ca, E_cb, E_ab). An L1 edge at
-    t is credited iff the first L2 entry at or after t, then the first L3
-    entry at or after that, exist and the latter is within the window of t.
-    The chain does not depend on the window, so each hit is collected once
-    with its span t3 - t and counted under the first window that admits it
-    (_fold); a cumulative sum over the windows then credits it to that
-    window and every larger one.
+    The hits of _out_hits are folded at most KEY_CAP at a time (_capped),
+    each counted under the first window that admits it (_fold); a
+    cumulative sum over the windows then credits it to that window and
+    every larger one.
     """
     nw, m = len(windows), g.m
     table = np.zeros(nw * m, dtype=np.int64)
-    spans: list[np.ndarray] = []
-    eids: list[np.ndarray] = []
-    pending = 0
-    r = len(g.t_distinct)
-    comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for ab, ba, ac, ca, bc, cb in _triangle_blocks(g, ordering):
-        p1 = np.concatenate((ab, ba, ac, ca))
-        p2 = np.concatenate((ac, bc, ab, cb))
-        p3 = np.concatenate((bc, ac, cb, ab))
-        keep = (p1 >= 0) & (p2 >= 0) & (p3 >= 0)
-        p1, p2, p3 = p1[keep], p2[keep], p3[keep]
-        for block in _blocks(start, p1):
-            i, job = _entries(start, p1[block])
-            q1, q2, q3 = p1[block][job], p2[block][job], p3[block][job]
-            j = np.searchsorted(comp, comp[i] + (q2 - q1) * r)
-            hit = j < start[q2 + 1]
-            i, j, q2, q3 = i[hit], j[hit], q2[hit], q3[hit]
-            k = np.searchsorted(comp, comp[j] + (q3 - q2) * r)
-            hit = k < start[q3 + 1]
-            i, k = i[hit], k[hit]
-            span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
-            hit = span <= windows[-1]
-            spans.append(span[hit])
-            eids.append(g.pair_eid[i[hit]])
-            pending += len(spans[-1])
-            if pending >= KEY_CAP:
-                _fold(table, windows, spans, eids)
-                pending = 0
-    _fold(table, windows, spans, eids)
+    for span, eid in _capped(_out_hits(g, ordering, windows[-1])):
+        _fold(table, windows, span, eid)
     counts = table.reshape(nw, m)
     for row in range(1, nw):  # row-wise: a cumsum along axis 0 runs m short loops
         counts[row] += counts[row - 1]
     return counts
 
 
-def _fold(table: np.ndarray, windows: np.ndarray, spans: list[np.ndarray], eids: list[np.ndarray]) -> None:
-    """Count the collected hits into the flat (window, edge) table, each at
-    the first window that admits its span (no span exceeds the last), with
-    one bincount; then clear them."""
-    if eids:
-        key = np.concatenate(eids)
-        if len(windows) > 1:
-            key += np.searchsorted(windows[:-1], np.concatenate(spans)) * (len(table) // len(windows))
-        table += np.bincount(key, minlength=len(table))
-        spans.clear()
-        eids.clear()
+def _out_hits(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(span, eid) per block: the out side's hits within the window `last`.
+
+    Each triangle (a, b, c) gives four (L1, L2, L3) jobs: pair {a, b} with
+    witness c as (E_ab, E_ac, E_bc) and (E_ba, E_bc, E_ac), and pair {a, c}
+    with witness b as (E_ac, E_ab, E_cb) and (E_ca, E_cb, E_ab). An L1 edge at
+    t is credited iff the first L2 entry at or after t, then the first L3
+    entry at or after that, exist and the latter is within the window of t.
+    The chain does not depend on the window, so each hit is collected once,
+    with its span t3 - t.
+    """
+    ts = g.pair_ts
+    for i, q1, q2, q3 in _expand(g, ordering, ((0, 1, 2, 3), (2, 4, 0, 5), (4, 2, 5, 0))):
+        j, hit = _next_entry(g, i, q1, q2)
+        i, j, q2, q3 = i[hit], j[hit], q2[hit], q3[hit]
+        k, hit = _next_entry(g, j, q2, q3)
+        i, k = i[hit], k[hit]
+        span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
+        hit = span <= last
+        yield span[hit], g.pair_eid[i[hit]]
+
+
+def _fold(table: np.ndarray, windows: np.ndarray, span: np.ndarray, eid: np.ndarray) -> None:
+    """Count hits into the flat (window, edge) table, each at the first
+    window that admits its span (no span exceeds the last), with one
+    bincount. eid is a fresh array, reused as the key."""
+    if len(windows) > 1:
+        eid += np.searchsorted(windows[:-1], span) * (len(table) // len(windows))
+    table += np.bincount(eid, minlength=len(table))
 
 
 def in_pass(
@@ -262,7 +289,17 @@ def in_pass(
 
 def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarray) -> np.ndarray:
     """in_count for each of one or more ascending uint64 windows, as an
-    int64 array of shape (len(windows), m).
+    int64 array of shape (len(windows), m): the ranges of _in_ranges,
+    folded at most KEY_CAP at a time (_capped) by _fold_ranges."""
+    in_count = np.zeros((len(windows), g.m), dtype=np.int64)
+    for floor, hi, t3 in _capped(_in_ranges(g, ordering, windows[-1])):
+        _fold_ranges(in_count, g, windows, floor, hi, t3)
+    return in_count
+
+
+def _in_ranges(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -> Iterator[tuple[np.ndarray, ...]]:
+    """(floor, hi, t3) per block: the in side's ranges that the window
+    `last` does not empty.
 
     Each triangle (a, b, c) gives the target pair (b, c) the witness a, with
     L2 = E_ba and L3 = E_ca, and the target (c, b) the same with the lists
@@ -274,73 +311,45 @@ def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarr
     the time of the entry before it in L2 has an empty one.
 
     A range is [lo, hi) in the key space of pair_comp, offset to the target
-    pair: hi is the key of f plus one, lo the larger of rank(prev f) + 1 and
-    the rank of the first timestamp at or after t3 - d. The chains (f, t3)
-    do not depend on the window; the ranges are built per window, largest
-    first, since each smaller window keeps a subset of them. _fold_ranges
-    credits them to the target edges.
+    pair: hi is the key of f plus one, and lo the larger of floor (the key
+    of prev f plus one, or the target pair's first key for L2's head) and
+    the key of the first timestamp at or after t3 - d. Only lo depends on
+    the window, so each range is kept once, as (floor, hi, t3).
     """
-    in_count = np.zeros((len(windows), g.m), dtype=np.int64)
-    los: list[list[np.ndarray]] = [[] for _ in windows]
-    his: list[list[np.ndarray]] = [[] for _ in windows]
-    pending = 0
     r = len(g.t_distinct)
     comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
-    for _, ba, _, ca, bc, cb in _triangle_blocks(g, ordering):
-        pt = np.concatenate((bc, cb))
-        p2 = np.concatenate((ba, ca))
-        p3 = np.concatenate((ca, ba))
-        keep = (pt >= 0) & (p2 >= 0) & (p3 >= 0)
-        pt, p2, p3 = pt[keep], p2[keep], p3[keep]
-        for block in _blocks(start, p2):
-            i, job = _entries(start, p2[block])
-            q2, q3 = p2[block][job], p3[block][job]
-            k = np.searchsorted(comp, comp[i] + (q3 - q2) * r)
-            head = i == start[q2]
-            # An entry at the time of the one before it has an empty range.
-            hit = (k < start[q3 + 1]) & (head | (comp[i - 1] != comp[i]))
-            i, k, job, head, q2 = i[hit], k[hit], job[hit], head[hit], q2[hit]
-            span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
-            hit = span <= windows[-1]
-            i, t3, job, head, q2, span = i[hit], ts[k[hit]], job[hit], head[hit], q2[hit], span[hit]
-            base = pt[block][job] * r
-            hi = comp[i] - q2 * r + base + 1
-            floor = np.where(head, base, comp[i - 1] - q2 * r + base + 1)
-            # A fold holds whole blocks and, unless one block alone is
-            # larger, at most KEY_CAP ranges.
-            if pending and pending + len(hi) * len(windows) > KEY_CAP:
-                _fold_ranges(in_count, g, los, his)
-                pending = 0
-            # Largest window first: each smaller one keeps a subset.
-            for j in range(len(windows) - 1, -1, -1):
-                los[j].append(np.maximum(floor, base + np.searchsorted(g.t_distinct, _minus(t3, windows[j]))))
-                his[j].append(hi)
-                pending += len(hi)
-                if j:
-                    sel = span <= windows[j - 1]
-                    t3, span, hi, floor, base = t3[sel], span[sel], hi[sel], floor[sel], base[sel]
-    if pending:
-        _fold_ranges(in_count, g, los, his)
-    return in_count
+    for i, q2, q3, pt in _expand(g, ordering, ((1, 3), (3, 1), (4, 5))):
+        k, hit = _next_entry(g, i, q2, q3)
+        head = i == start[q2]
+        # An entry at the time of the one before it has an empty range.
+        hit &= head | (comp[i - 1] != comp[i])
+        i, k, head, q2, pt = i[hit], k[hit], head[hit], q2[hit], pt[hit]
+        hit = ts[k].view(np.uint64) - ts[i].view(np.uint64) <= last
+        i, t3, head, base = i[hit], ts[k[hit]], head[hit], pt[hit] * r
+        shift = base - q2[hit] * r + 1
+        yield np.where(head, base, comp[i - 1] + shift), comp[i] + shift, t3
 
 
 def _fold_ranges(
-    in_count: np.ndarray, g: TemporalGraph, los: list[list[np.ndarray]], his: list[list[np.ndarray]]
+    in_count: np.ndarray, g: TemporalGraph, windows: np.ndarray, floor: np.ndarray, hi: np.ndarray, t3: np.ndarray
 ) -> None:
-    """Credit each entry of the target pairs that the collected ranges
-    touch, per window, with the number of ranges [lo, hi) that hold its key
-    q: #(lo <= q) - #(hi <= q), to which a range of another pair adds 0.
-    Then clear the ranges."""
+    """Credit each entry of the target pairs that the ranges touch, per
+    window, with the number of ranges [lo, hi) that hold its key q:
+    #(lo <= q) - #(hi <= q), to which a range of another pair, or one the
+    window empties (lo = hi), adds 0. The hi keys are sorted and looked up
+    once; each window cuts its own lo."""
     r = len(g.t_distinct)
-    pairs = np.sort(np.concatenate(los[-1]) // r)  # the largest window touches every pair
+    pair = floor // r
+    pairs = np.sort(pair)
     e, _ = _entries(g.pair_start, pairs[np.diff(pairs, prepend=-1) != 0])
     q, rows = g.pair_comp[e], g.pair_eid[e]
-    for row, lo, hi in zip(in_count, los, his):
-        if lo:
-            lo_keys, hi_keys = np.sort(np.concatenate(lo)), np.sort(np.concatenate(hi))
-            row[rows] += np.searchsorted(lo_keys, q, "right") - np.searchsorted(hi_keys, q, "right")
-        lo.clear()
-        hi.clear()
+    below = np.searchsorted(np.sort(hi), q, "right")
+    base = pair * r
+    times, at = np.unique(t3, return_inverse=True)  # each distinct t3 is cut once per window
+    for row, d in zip(in_count, windows):
+        lo = np.minimum(np.maximum(floor, base + np.searchsorted(g.t_distinct, _minus(times, d))[at]), hi)
+        lo.sort()
+        row[rows] += np.searchsorted(lo, q, "right") - below
 
 
 def count_tables(
@@ -357,6 +366,8 @@ def count_tables(
     with "triangles", "out_pass" and "in_pass" as each phase ends.
     """
     deltas = list(deltas)
+    if not deltas:
+        return []
     windows = _windows(g, deltas)
     if static is None:
         static = build_static(g)

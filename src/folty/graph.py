@@ -48,7 +48,8 @@ _I64_MAX = 2**63 - 1
 #: CSR entries expanded per vectorized block of _blocks (a block may exceed
 #: it by the size of its last row, since one row is never split): the wedges
 #: of _closed_wedges and the list entries of the count passes; the passes
-#: also turn this many triangles into jobs at a time.
+#: also turn this many triangles into jobs at a time, and the array parse
+#: compacts this many rows at a time when it drops self-loops.
 BLOCK = 1 << 13
 
 #: Peel batches of fewer vertices than this run in a Python loop, larger ones
@@ -394,7 +395,17 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
     keep = rows[:, 0] != rows[:, 1]
     dropped = len(keep) - int(np.count_nonzero(keep))
     if dropped:
-        rows = rows[keep]
+        # Kept rows only move towards the start of the buffer, so they are
+        # compacted in place, BLOCK rows and one column at a time (a 2-D
+        # block would hold three times the temporary), rather than copied out.
+        kept = 0
+        for first in range(0, len(rows), BLOCK):
+            part = keep[first : first + BLOCK]
+            n = int(np.count_nonzero(part))
+            for column in rows.T:
+                column[kept : kept + n] = column[first : first + BLOCK][part]
+            kept += n
+        rows = rows[:kept]
     return rows[:, 0], rows[:, 1], rows[:, 2], dropped
 
 

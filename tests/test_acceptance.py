@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import folty.engine
 from conftest import random_temporal_graph, require_dataset
 from folty.engine import compute_counts
 from folty.graph import (
@@ -32,6 +33,7 @@ from folty.queries import (
     practical_counts,
 )
 from folty.segtree import IntervalSegmentTree
+from test_differential import hub_edges
 
 TAUS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 DELTAS = [0, 1, 5, 20, 1000]
@@ -251,6 +253,41 @@ def test_criterion_5_complexity_scaling():
         "criterion 5: counting time within 2x of linear-in-alpha scaling "
         + ", ".join(f"alpha={a}:{t * 1000:.0f}ms" for a, t in results)
     )
+
+
+def test_criterion_5_expansion_bound(monkeypatch):
+    """The work behind the O(m alpha log sigma_max) bound, counted without
+    a clock: an oriented edge a -> b is the ab edge of at most outdeg(a) <=
+    alpha triangles and their ac edge of at most alpha more, so each side
+    expands at most 2 alpha m list entries (the out side's L1 lists, the in
+    side's L2 lists), on the criterion-5 cores, a hub target pair, a star
+    and random graphs."""
+    expanded = []
+    expand = folty.engine._expand
+
+    def counting(g, ordering, lists):
+        expanded.append(0)
+        for part in expand(g, ordering, lists):
+            expanded[-1] += len(part[0])
+            yield part
+
+    monkeypatch.setattr(folty.engine, "_expand", counting)
+    rng = random.Random(0x5EED_06)
+    graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
+    graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
+    star = [(0, leaf, t) if rng.random() < 0.5 else (leaf, 0, t) for leaf in range(1, 200) for t in range(rng.randint(1, 5))]
+    graphs.append(TemporalGraph.from_edges(star + [(leaf, leaf + 1, 7) for leaf in range(1, 199, 3)]))
+    graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
+    sides = []
+    for g in graphs:
+        static = build_static(g)
+        ordering = degeneracy_order(static)
+        expanded.clear()
+        compute_counts(g, 2_000, static, ordering)
+        assert len(expanded) == 2 and max(expanded) <= 2 * ordering.alpha * g.m, (expanded, ordering.alpha, g.m)
+        sides.append(tuple(expanded))
+    assert all(out and into for out, into in sides[:4])  # the cores expand on both sides
+    _passed("criterion 5: each side expands at most 2 * alpha * m list entries")
 
 
 def test_criterion_5_wiki_talk_runtime():

@@ -322,16 +322,13 @@ class TestSweep:
         enumerate_triangles = folty.graph.DegeneracyOrdering.triangle_entries
 
         def counting(self):
-            caller = sys._getframe(1)
-            if caller.f_code.co_name == "_triangle_blocks":  # name the pass that reads the blocks
-                caller = caller.f_back
-            calls.append((caller.f_code.co_name, self._triangle_entries is None))
+            calls.append(self._triangle_entries is None)
             return enumerate_triangles(self)
 
         monkeypatch.setattr(folty.graph.DegeneracyOrdering, "triangle_entries", counting)
         run_sweep(richer_path, "eea", deltas=[10, 60, 300], taus=[_tau("0.5")])
-        # Built once, by the pair-id lookup, then read by the out and in passes.
-        assert calls == [("entry_pairs", True), ("_out_counts", False), ("_in_counts", False)]
+        # Built once, by the pair-id lookup, then read once by each pass.
+        assert calls == [True, False, False]
 
     def test_empty_grid_usage_error(self, richer_path, capsys):
         assert main(["sweep", "eea", richer_path, "--delta-list", "10"]) == EXIT_USAGE

@@ -279,7 +279,8 @@ def test_count_tables_empty_and_triangle_free():
     for g in (TemporalGraph.from_edges([]), parse_edge_list("4 4 1\n"), TemporalGraph.from_edges(cycle)):
         assert_tables_agree(g)
         assert not any(t.totals_array.any() for t in count_tables(g, SWEEP_DELTAS))
-    assert count_tables(TemporalGraph.from_edges(cycle), []) == []
+    for edges in (cycle, [(0, 1, 1), (1, 2, 2), (0, 2, 3)]):  # no deltas, with and without a triangle
+        assert count_tables(TemporalGraph.from_edges(edges), []) == []
 
 
 def test_count_tables_many_windows():
@@ -419,34 +420,69 @@ def test_in_side_folds_mid_expansion(monkeypatch, windows):
 @pytest.mark.parametrize("windows", [1, 3, 5])
 def test_in_side_folds_hold_at_most_key_cap(monkeypatch, windows):
     """When one block's ranges fit under KEY_CAP, no fold holds more than
-    KEY_CAP ranges: a block that would push the collected ranges past it is
-    folded with the next ones. The counts do not change."""
+    KEY_CAP ranges, however many windows it cuts them for: a block that
+    would push the collected ranges past it is folded with the next ones.
+    The counts do not change."""
     g = TemporalGraph.from_edges(hub_edges(random.Random(0xD202 + windows), 300, 60, 200))
     static = build_static(g)
     ordering = degeneracy_order(static)
     deltas = [40, 0, 10**30, 3, 150][:windows]
     grid = folty.engine._windows(g, deltas)
-    cap, block = 60 * windows, 8
+    cap, block = 60, 8
     # A block expands at most BLOCK entries plus its last list, each giving
-    # one range per window; the in side's L2 lists are the witnesses' lists.
+    # at most one range; the in side's L2 lists are the witnesses' lists.
     x, y = np.divmod(g.pair_key, g.n)
     hub = [g.orig.index(0), g.orig.index(1)]
     witness_lists = np.diff(g.pair_start)[~(np.isin(x, hub) & np.isin(y, hub))]
-    assert (block + witness_lists.max()) * windows <= cap
+    assert block + witness_lists.max() <= cap
     monkeypatch.setattr(folty.engine, "KEY_CAP", cap)
     monkeypatch.setattr(folty.graph, "BLOCK", block)
     held = []
     fold_ranges = folty.engine._fold_ranges
 
-    def counting(in_count, g, los, his):
-        held.append(sum(len(lo) for window in los for lo in window))
-        fold_ranges(in_count, g, los, his)
+    def counting(in_count, g, windows, floor, hi, t3):
+        held.append(len(hi))
+        fold_ranges(in_count, g, windows, floor, hi, t3)
 
     monkeypatch.setattr(folty.engine, "_fold_ranges", counting)
     counts = folty.engine._in_counts(g, ordering, grid)
     assert len(held) > 3 and max(held) <= cap, held
     monkeypatch.undo()
     assert np.array_equal(counts, folty.engine._in_counts(g, ordering, grid))
+    for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
+        assert table.totals() == oracle_counts(g, delta, static).count, delta
+
+
+@pytest.mark.parametrize("windows", [1, 3, 5])
+def test_out_side_folds_hold_at_most_key_cap(monkeypatch, windows):
+    """The out side keeps the in side's fold policy: when one block's hits
+    fit under KEY_CAP, no fold holds more than KEY_CAP hits. The counts do
+    not change."""
+    rng = random.Random(0xD203 + windows)
+    clique = [(u, v, rng.randrange(50)) for u in range(9) for v in range(9) if u != v for _ in range(rng.randint(0, 4))]
+    g = TemporalGraph.from_edges(clique)
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    deltas = [5, 0, 10**30, 1, 20][:windows]
+    grid = folty.engine._windows(g, deltas)
+    cap, block = 12, 8
+    # A block expands at most BLOCK entries plus its last list, each giving
+    # at most one hit.
+    assert block + np.diff(g.pair_start).max() <= cap
+    monkeypatch.setattr(folty.engine, "KEY_CAP", cap)
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    held = []
+    fold = folty.engine._fold
+
+    def counting(table, windows, span, eid):
+        held.append(len(eid))
+        fold(table, windows, span, eid)
+
+    monkeypatch.setattr(folty.engine, "_fold", counting)
+    counts = folty.engine._out_counts(g, ordering, grid)
+    assert len(held) > 3 and max(held) <= cap, held
+    monkeypatch.undo()
+    assert np.array_equal(counts, folty.engine._out_counts(g, ordering, grid))
     for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
         assert table.totals() == oracle_counts(g, delta, static).count, delta
 
