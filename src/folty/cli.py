@@ -78,9 +78,7 @@ def parse_duration(text: str) -> int:
 
 
 def _tau_fmt(tau: Fraction | None) -> str:
-    if tau is None:
-        return ""
-    return str(tau.numerator) if tau.denominator == 1 else f"{tau.numerator}/{tau.denominator}"
+    return "" if tau is None else str(tau)
 
 
 def _load(path: str):

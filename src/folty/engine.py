@@ -46,6 +46,7 @@ one-window case.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,14 +75,11 @@ class CountTable:
     ints, built on first use.
     """
 
-    __slots__ = ("in_array", "out_array", "totals_array", "delta", "_lists", "_pair_max", "_nonzero")
-
     def __init__(self, in_count: Sequence[int], out_count: Sequence[int], delta: int):
         self.in_array = np.asarray(in_count, dtype=np.int64)
         self.out_array = np.asarray(out_count, dtype=np.int64)
         self.totals_array = self.in_array + self.out_array
         self.delta = delta
-        self._lists: dict[str, list[int]] = {}
         self._pair_max: np.ndarray | None = None
         self._nonzero: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -99,21 +97,20 @@ class CountTable:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _list(self, name: str) -> list[int]:
-        if name not in self._lists:
-            self._lists[name] = getattr(self, name).tolist()
-        return self._lists[name]
-
-    @property
+    @cached_property
     def in_count(self) -> list[int]:
-        return self._list("in_array")
+        return self.in_array.tolist()
 
-    @property
+    @cached_property
     def out_count(self) -> list[int]:
-        return self._list("out_array")
+        return self.out_array.tolist()
+
+    @cached_property
+    def _totals(self) -> list[int]:
+        return self.totals_array.tolist()
 
     def totals(self) -> list[int]:
-        return self._list("totals_array")
+        return self._totals
 
     def pair_max(self, g: TemporalGraph) -> np.ndarray:
         """The largest total over each directed pair's edges, in the pair
@@ -369,10 +366,8 @@ def count_tables(
     if not deltas:
         return []
     windows = _windows(g, deltas)
-    if static is None:
-        static = build_static(g)
     if ordering is None:
-        ordering = degeneracy_order(static)
+        ordering = degeneracy_order(build_static(g) if static is None else static)
     lap = lap or (lambda phase: None)
     g.entry_pairs(ordering)
     lap("triangles")

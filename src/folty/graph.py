@@ -37,6 +37,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -119,26 +120,6 @@ class TemporalGraph:
         for code that reads single edges (the oracle, serialization, tests)
     """
 
-    __slots__ = (
-        "n",
-        "m",
-        "src",
-        "dst",
-        "ts",
-        "orig",
-        "self_loops_dropped",
-        "pair_key",
-        "pair_start",
-        "pair_eid",
-        "pair_ts",
-        "t_distinct",
-        "pair_comp",
-        "_pairs",
-        "_lists",
-        "_common",
-        "_entry_pairs",
-    )
-
     def __init__(
         self,
         u: np.ndarray,
@@ -175,8 +156,6 @@ class TemporalGraph:
         self.n = len(self.orig)
         self.m = m
         self.self_loops_dropped = dropped
-        self._pairs: Mapping[tuple[int, int], tuple[list[int], list[int]]] | None = None
-        self._lists: tuple[list[int], list[int], list[int]] | None = None
         self._common: tuple[StaticGraph, np.ndarray] | None = None
         self._entry_pairs: tuple[DegeneracyOrdering, np.ndarray, np.ndarray] | None = None
 
@@ -221,12 +200,10 @@ class TemporalGraph:
             v = np.array([rank[x] for x in vs], dtype=np.int64)
         return cls(u, v, np.array(ts, dtype=np.int64), dropped, labels)
 
-    @property
+    @cached_property
     def edge_lists(self) -> tuple[list[int], list[int], list[int]]:
         """(src, dst, ts) as lists of Python ints."""
-        if self._lists is None:
-            self._lists = (self.src.tolist(), self.dst.tolist(), self.ts.tolist())
-        return self._lists
+        return self.src.tolist(), self.dst.tolist(), self.ts.tolist()
 
     def pair_max(self, values: np.ndarray) -> np.ndarray:
         """The largest of values[e] over each directed pair's edges e, in
@@ -271,19 +248,17 @@ class TemporalGraph:
             self._entry_pairs = (ordering, fwd, bwd)
         return self._entry_pairs[1:]
 
-    @property
+    @cached_property
     def pairs(self) -> Mapping[tuple[int, int], tuple[list[int], list[int]]]:
         """(x, y) -> (eids, timestamps) for every directed pair with an edge."""
-        if self._pairs is None:
-            eids = self.pair_eid.tolist()
-            ts = self.pair_ts.tolist()
-            bounds = self.pair_start.tolist()
-            view = {}
-            for p, key in enumerate(self.pair_key.tolist()):
-                lo, hi = bounds[p], bounds[p + 1]
-                view[divmod(key, self.n)] = (eids[lo:hi], ts[lo:hi])
-            self._pairs = MappingProxyType(view)
-        return self._pairs
+        eids = self.pair_eid.tolist()
+        ts = self.pair_ts.tolist()
+        bounds = self.pair_start.tolist()
+        view = {}
+        for p, key in enumerate(self.pair_key.tolist()):
+            lo, hi = bounds[p], bounds[p + 1]
+            view[divmod(key, self.n)] = (eids[lo:hi], ts[lo:hi])
+        return MappingProxyType(view)
 
     def pair(self, x: int, y: int) -> tuple[list[int], list[int]]:
         """(eids, timestamps) of edges x -> y; empty lists if none."""
@@ -595,16 +570,13 @@ class StaticGraph:
 
     u's neighbors are adj_nbr[adj_start[u]:adj_start[u + 1]], ascending; the
     static edges are the columns edge_u < edge_v, ascending by key
-    u * n + v. degree, adj and edges are list views built on first use and
-    edge_degree a list computed on each access, for the oracle, the
-    practical engine and tests. Common-neighbor counts, the
+    u * n + v. degree, adj, edges and adj_sets are list views built on
+    first use and edge_degree a list computed on each access, for the
+    oracle, the practical engine and tests. Common-neighbor counts, the
     triangles on each edge, are one int64 array aligned with the edge
     columns, built on first use from the triangle entries of the last
     ordering degeneracy_order built for this graph.
     """
-
-    __slots__ = ("n", "adj_start", "adj_nbr", "edge_u", "edge_v",
-                 "_degree", "_adj", "_edges", "_adj_sets", "_common", "_ordering")
 
     def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
         self.n = n
@@ -613,44 +585,33 @@ class StaticGraph:
         own = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj_start))
         upper = own < adj_nbr
         self.edge_u, self.edge_v = own[upper], adj_nbr[upper]
-        self._degree: list[int] | None = None
-        self._adj: list[list[int]] | None = None
-        self._edges: list[tuple[int, int]] | None = None
-        self._adj_sets: list[set[int]] | None = None
         self._common: np.ndarray | None = None
         self._ordering: DegeneracyOrdering | None = None
 
-    @property
+    @cached_property
     def degree(self) -> list[int]:
         """degree[u]: u's number of neighbors."""
-        if self._degree is None:
-            self._degree = np.diff(self.adj_start).tolist()
-        return self._degree
+        return np.diff(self.adj_start).tolist()
 
-    @property
+    @cached_property
     def adj(self) -> list[list[int]]:
         """adj[u]: u's neighbors, ascending."""
-        if self._adj is None:
-            self._adj = _csr_lists(self.adj_start, self.adj_nbr)
-        return self._adj
+        return _csr_lists(self.adj_start, self.adj_nbr)
 
-    @property
+    @cached_property
     def edges(self) -> list[tuple[int, int]]:
         """The static edges (u, v), u < v, ascending."""
-        if self._edges is None:
-            self._edges = list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-        return self._edges
+        return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
 
     @property
     def edge_degree(self) -> list[int]:
         """min(degree[u], degree[v]) for every static edge (u, v)."""
         return self._edge_degree_array().tolist()
 
-    @property
+    @cached_property
     def adj_sets(self) -> list[set[int]]:
-        if self._adj_sets is None:
-            self._adj_sets = [set(a) for a in self.adj]
-        return self._adj_sets
+        """adj_sets[u]: u's neighbors as a set."""
+        return [set(a) for a in self.adj]
 
     def _edge_degree_array(self) -> np.ndarray:
         deg = np.diff(self.adj_start)
@@ -702,50 +663,35 @@ class DegeneracyOrdering:
     """Level-batch peeling order and the orientation it induces.
 
     pi[u] is u's rank in the removal order (0 removed first) and order the
-    vertices in that order; both are given as int64 arrays or lists and read
-    as lists of Python ints, built on first read. alpha is the degeneracy,
-    the largest residual degree seen at any removal. The orientation points
-    each static edge from its lower-rank endpoint to the other, in CSR form:
-    u's out-neighbors are out_nbr[out_start[u]:out_start[u + 1]], ascending
-    by id; out_adj is the same as a list of lists, built on first use.
+    vertices in that order; both are given as int64 arrays and read as lists
+    of Python ints, built on first read and kept beside the arrays. alpha is
+    the degeneracy, the largest residual degree seen at any removal. The
+    orientation points each static edge from its lower-rank endpoint to the
+    other, in CSR form: u's out-neighbors are
+    out_nbr[out_start[u]:out_start[u + 1]], ascending by id; out_adj is the
+    same as a list of lists, built on first use.
     """
 
-    __slots__ = ("_pi", "_order", "alpha", "out_start", "out_nbr", "_out_adj", "_triangle_entries", "_triangles")
-
-    def __init__(
-        self,
-        pi: np.ndarray | list[int],
-        order: np.ndarray | list[int],
-        alpha: int,
-        out_start: np.ndarray,
-        out_nbr: np.ndarray,
-    ):
+    def __init__(self, pi: np.ndarray, order: np.ndarray, alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
         self._pi = pi
         self._order = order
         self.alpha = alpha
         self.out_start = out_start
         self.out_nbr = out_nbr
-        self._out_adj: list[list[int]] | None = None
         self._triangle_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._triangles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @property
+    @cached_property
     def pi(self) -> list[int]:
-        if not isinstance(self._pi, list):
-            self._pi = self._pi.tolist()
-        return self._pi
+        return self._pi.tolist()
 
-    @property
+    @cached_property
     def order(self) -> list[int]:
-        if not isinstance(self._order, list):
-            self._order = self._order.tolist()
-        return self._order
+        return self._order.tolist()
 
-    @property
+    @cached_property
     def out_adj(self) -> list[list[int]]:
-        if self._out_adj is None:
-            self._out_adj = _csr_lists(self.out_start, self.out_nbr)
-        return self._out_adj
+        return _csr_lists(self.out_start, self.out_nbr)
 
     def triangle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every static triangle once, as the orientation entries (ab, ac,

@@ -44,6 +44,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,12 +92,11 @@ class SolutionSet:
     read.
     """
 
-    __slots__ = ("kind", "total", "_solutions", "_columns", "_orig")
-
     def __init__(self, kind: str, solutions: list | None, total: int):
         self.kind = kind
         self.total = total
-        self._solutions = solutions
+        if solutions is not None:
+            self.solutions = solutions
         self._columns: tuple[np.ndarray, ...] = ()
         self._orig: list[int] = []
 
@@ -116,17 +116,15 @@ class SolutionSet:
         """One list of Python ints per field of the row type, with original
         vertex ids; built without building the rows."""
         if not self._columns:
-            return [list(column) for column in zip(*self._solutions)] or [[] for _ in self.row._fields]
+            return [list(column) for column in zip(*self.solutions)] or [[] for _ in self.row._fields]
         ids = 2 if self.kind == "eea" else 1  # src and dst, or vertex
         orig = self._orig.__getitem__
         return [list(map(orig, c.tolist())) if i < ids else c.tolist() for i, c in enumerate(self._columns)]
 
-    @property
+    @cached_property
     def solutions(self) -> list:
-        if self._solutions is None:
-            row = self.row
-            self._solutions = [row(*values) for values in zip(*self.columns())]
-        return self._solutions
+        row = self.row
+        return [row(*values) for values in zip(*self.columns())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SolutionSet):

@@ -14,10 +14,12 @@ from fractions import Fraction
 import pytest
 
 import folty.engine
+import folty.graph
 from conftest import random_temporal_graph, require_dataset
 from folty.engine import compute_counts
 from folty.graph import (
     TemporalGraph,
+    _closed_wedges,
     build_static,
     degeneracy_order,
     parse_edge_list,
@@ -288,6 +290,36 @@ def test_criterion_5_expansion_bound(monkeypatch):
         sides.append(tuple(expanded))
     assert all(out and into for out, into in sides[:4])  # the cores expand on both sides
     _passed("criterion 5: each side expands at most 2 * alpha * m list entries")
+
+
+def test_criterion_5_wedge_lookup_bound(monkeypatch):
+    """The triangle listing's share of the bound, counted without a clock:
+    for each oriented edge x -> y, _closed_wedges looks up one key per head
+    of x, so at most sum outdeg(x)^2 <= alpha * |E| keys for |E| oriented
+    edges, on the graph shapes of test_criterion_5_expansion_bound."""
+    looked = []
+    find = folty.graph._find
+
+    def counting(keys, q):
+        looked.append(len(q))
+        return find(keys, q)
+
+    monkeypatch.setattr(folty.graph, "_find", counting)
+    rng = random.Random(0x5EED_07)
+    graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
+    graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
+    star = [(0, leaf, t) if rng.random() < 0.5 else (leaf, 0, t) for leaf in range(1, 200) for t in range(rng.randint(1, 5))]
+    graphs.append(TemporalGraph.from_edges(star + [(leaf, leaf + 1, 7) for leaf in range(1, 199, 3)]))
+    graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
+    lookups = []
+    for g in graphs:
+        o = degeneracy_order(build_static(g))
+        looked.clear()
+        _closed_wedges(o.out_start, o.out_nbr)
+        assert sum(looked) <= o.alpha * len(o.out_nbr), (sum(looked), o.alpha, len(o.out_nbr))
+        lookups.append(sum(looked))
+    assert all(lookups[:6])  # the cores, the hub pair and the star look keys up
+    _passed("criterion 5: the triangle listing makes at most alpha * |E| wedge lookups")
 
 
 def test_criterion_5_wiki_talk_runtime():

@@ -2,10 +2,12 @@
 
 import random
 
+import folty.engine
 from conftest import brute_closing_neighbors, random_temporal_graph
 from folty.engine import (
     CountTable,
     compute_counts,
+    count_tables,
     in_pass,
     out_pass,
     oriented_triangles,
@@ -302,3 +304,21 @@ class TestOrderingCache:
                     assert (ct.in_count, ct.out_count) == (fresh[d].in_count, fresh[d].out_count)
                     assert ct.totals() == want[d]
             assert o.triangles() is triangles
+
+    def test_given_ordering_builds_no_projection(self, monkeypatch):
+        """With an ordering and no static graph, neither count call builds
+        the projection, which only an ordering needs, and both return the
+        tables of the calls that pass the static graph."""
+        rng = random.Random(0xB5)
+        built = []
+        build = folty.engine.build_static
+        monkeypatch.setattr(folty.engine, "build_static", lambda g: built.append(g) or build(g))
+        deltas = [50, 0, 5, 50]
+        for _ in range(10):
+            g = random_temporal_graph(rng, max_vertices=16, max_edges=140, t_hi=60)
+            s = build_static(g)
+            o = degeneracy_order(s)
+            assert compute_counts(g, 5, None, o) == compute_counts(g, 5, s, o)
+            assert count_tables(g, deltas, None, o) == count_tables(g, deltas, s, o)
+        assert built == []
+        assert compute_counts(g, 5) == compute_counts(g, 5, s, o) and built == [g]
