@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .engine import count_tables
+from .engine import CountTable, count_tables
 from .graph import ParseError, build_static, degeneracy_order, graph_stats, parse_edge_list
 from .oracle import DEFAULT_CEILING, OracleCeilingError, oracle_counts
 from .queries import (
@@ -29,6 +29,7 @@ from .queries import (
     SolutionSet,
     Universe,
     VertexSolution,
+    as_table,
     eval_eaa,
     eval_eae,
     eval_eea,
@@ -81,27 +82,32 @@ def _tau_fmt(tau: Fraction | None) -> str:
     return "" if tau is None else str(tau)
 
 
-def _load(path: str):
+def _threads(text: str) -> int:
+    """--threads, whose default is FOLTY_THREADS: an integer >= 1. The
+    engines run single-threaded, so the value is not used."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0  # not an integer: refused below with the same message
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--threads and FOLTY_THREADS take an integer >= 1, got {text!r}")
+    return n
+
+
+def _load(path: str, lap=lambda phase: None):
+    """The graph at path, its projection and its ordering, lapping load,
+    static and degeneracy."""
     try:
         with open(path, "rb") as fh:
-            return parse_edge_list(fh)
+            g = parse_edge_list(fh)
     except ParseError as exc:
         raise ParseError(exc.lineno, exc.message, source=path) from None
-
-
-def _check_threads(args) -> None:
-    """Validate --threads, or FOLTY_THREADS when it is not given. The
-    engines run single-threaded, so the value is not used."""
-    if args.threads is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get("FOLTY_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise UsageError(f"FOLTY_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError("threads must be >= 1")
+    lap("load")
+    static = build_static(g)
+    lap("static")
+    ordering = degeneracy_order(static)
+    lap("degeneracy")
+    return g, static, ordering
 
 
 def run_query(
@@ -119,12 +125,7 @@ def run_query(
     it as JSON, CSV or text without building a row per solution."""
     kind = validate_kind(kind)
     lap = _Laps()
-    g = _load(path)
-    lap("load")
-    static = build_static(g)
-    lap("static")
-    ordering = degeneracy_order(static)
-    lap("degeneracy")
+    g, static, ordering = _load(path, lap)
     (table,) = _count_tables(g, static, ordering, [delta], engine, ceiling, lap)
     solset = _threshold(g, static, table, kind, tau, tau2, universe)
     lap("threshold")
@@ -151,10 +152,6 @@ def run_query(
     }
 
 
-def _ms_since(t0: float) -> float:
-    return round((time.perf_counter() - t0) * 1000.0, 3)
-
-
 class _Laps:
     """Contiguous phase timings in ms: each lap runs from the end of the
     previous one, so the laps add up to the time since the first clock read.
@@ -170,20 +167,21 @@ class _Laps:
         self._last = now
 
 
-def _count_tables(g, static, ordering, deltas, engine, ceiling, lap: _Laps) -> list:
+def _count_tables(g, static, ordering, deltas, engine, ceiling, lap: _Laps) -> list[CountTable]:
     """One count table per delta, lapping triangles, out_pass and in_pass.
     The folty engine counts every delta in one expansion (count_tables); the
     practical and oracle engines run one pass per delta, all lapped together
-    as out_pass, and give totals lists."""
+    as out_pass, and their totals go on the tables' out side (as_table)."""
     if engine == "folty":
         return count_tables(g, deltas, static, ordering, lap=lap)
     lap.ms["triangles"] = 0.0
     if engine == "practical":
-        tables = [practical_counts(g, static, delta) for delta in deltas]
+        totals = [practical_counts(g, static, delta) for delta in deltas]
     elif engine == "oracle":
-        tables = [oracle_counts(g, delta, static, max_edges=ceiling).count for delta in deltas]
+        totals = [oracle_counts(g, delta, static, max_edges=ceiling).count for delta in deltas]
     else:
         raise UsageError(f"unknown engine {engine!r}; expected folty, practical, or oracle")
+    tables = [as_table(counts, delta) for counts, delta in zip(totals, deltas)]
     lap("out_pass")
     lap.ms["in_pass"] = 0.0
     return tables
@@ -223,9 +221,7 @@ def run_sweep(
     kind = validate_kind(kind)
     if not deltas or not taus:
         raise UsageError("sweep grid is empty")
-    g = _load(path)
-    static = build_static(g)
-    ordering = degeneracy_order(static)
+    g, static, ordering = _load(path)
     deltas = sorted(set(deltas))
     lap = _Laps()
     tables = _count_tables(g, static, ordering, deltas, engine, ceiling, lap)
@@ -238,7 +234,7 @@ def run_sweep(
         for tau in sorted(set(taus)):
             t0 = time.perf_counter()
             solset = _threshold(g, static, table, kind, tau, tau2, universe)
-            elapsed = _ms_since(t0)
+            elapsed = round((time.perf_counter() - t0) * 1000.0, 3)
             rows.append(
                 {
                     "kind": kind,
@@ -343,12 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--tau", help="threshold for eea/eae")
     p_query.add_argument("--tau1", help="outer threshold for eaa")
     p_query.add_argument("--tau2", help="inner threshold for eaa")
-    p_query.add_argument("--universe", choices=["dst", "common"], default="dst")
-    p_query.add_argument("--engine", choices=["folty", "practical", "oracle"], default="folty")
     p_query.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_query.add_argument("--solutions-out", help="write full solutions as CSV to this path")
-    p_query.add_argument("--threads", type=int, default=None)
-    p_query.add_argument("--oracle-ceiling", type=int, default=DEFAULT_CEILING)
 
     p_sweep = sub.add_parser("sweep", help="run a (delta, tau) grid as CSV")
     p_sweep.add_argument("kind")
@@ -358,18 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau-list", help="comma-separated thresholds")
     p_sweep.add_argument("--tau-range", help="lo:hi:step thresholds")
     p_sweep.add_argument("--tau2", help="fixed inner threshold for eaa sweeps")
-    p_sweep.add_argument("--universe", choices=["dst", "common"], default="dst")
-    p_sweep.add_argument("--engine", choices=["folty", "practical", "oracle"], default="folty")
-    p_sweep.add_argument("--threads", type=int, default=None)
-    p_sweep.add_argument("--oracle-ceiling", type=int, default=DEFAULT_CEILING)
+
+    for p in (p_query, p_sweep):
+        p.add_argument("--universe", choices=["dst", "common"], default="dst")
+        p.add_argument("--engine", choices=["folty", "practical", "oracle"], default="folty")
+        p.add_argument("--threads", type=_threads, default=os.environ.get("FOLTY_THREADS", "1"))
+        p.add_argument("--oracle-ceiling", type=int, default=DEFAULT_CEILING)
     return parser
 
 
 def _cmd_stats(args) -> int:
-    g = _load(args.path)
-    static = build_static(g)
-    ordering = degeneracy_order(static)
-    stats = graph_stats(g, static, ordering).as_dict()
+    stats = graph_stats(*_load(args.path)).as_dict()
     if args.format == "json":
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:
@@ -392,17 +383,7 @@ def _cmd_query(args) -> int:
             raise UsageError(f"{kind} requires --tau")
         tau = parse_tau(args.tau)
         tau2 = None
-    _check_threads(args)
-    report = run_query(
-        args.path,
-        kind,
-        delta,
-        tau,
-        tau2,
-        Universe(args.universe),
-        args.engine,
-        ceiling=args.oracle_ceiling,
-    )
+    report = run_query(args.path, kind, delta, tau, tau2, Universe(args.universe), args.engine, args.oracle_ceiling)
     out = _format_report(report, args.format)
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
     if args.solutions_out:
@@ -424,21 +405,10 @@ def _cmd_sweep(args) -> int:
     tau2 = parse_tau(args.tau2) if args.tau2 else None
     if kind == "eaa" and tau2 is None:
         raise UsageError("eaa sweeps require --tau2")
-    _check_threads(args)
-    rows, _ = run_sweep(
-        args.path,
-        kind,
-        deltas,
-        taus,
-        tau2,
-        Universe(args.universe),
-        args.engine,
-        ceiling=args.oracle_ceiling,
-    )
-    writer = csv.writer(sys.stdout)
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([row[k] for k in CSV_HEADER])
+    rows, _ = run_sweep(args.path, kind, deltas, taus, tau2, Universe(args.universe), args.engine, args.oracle_ceiling)
+    writer = csv.DictWriter(sys.stdout, CSV_HEADER)
+    writer.writeheader()
+    writer.writerows(rows)
     return EXIT_OK
 
 
@@ -451,18 +421,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "query":
             return _cmd_query(args)
         return _cmd_sweep(args)
-    except (UsageError, ParameterError) as exc:
+    except (UsageError, ParameterError, OracleCeilingError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleCeilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CEILING
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, OracleCeilingError):
+            return EXIT_CEILING
+        return EXIT_IO if isinstance(exc, (ParseError, OSError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

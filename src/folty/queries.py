@@ -19,7 +19,9 @@ built in Python integers otherwise, so any Fraction tau stays exact. An edge
 only certifies if it has at least one closing neighbor, so empty universes
 never satisfy the quantifier vacuously, and eea thresholds only the edges
 with a non-zero total: found with their pair ids once per count table
-(CountTable.nonzero).
+(CountTable.nonzero). Every eval_* reads its counts as a CountTable
+(as_table), so per-edge totals from the practical or oracle engine build
+this state once per table too.
 
 eae and eaa share one vertex path, built from state that no tau changes: the
 common-neighbor universe sizes, once per graph (TemporalGraph.pair_common),
@@ -196,16 +198,15 @@ def _check_tau(tau: Fraction) -> None:
         raise ParameterError(f"threshold must be in (0, 1], got {tau}")
 
 
-def _totals_array(counts: CountTable | Sequence[int]) -> np.ndarray:
+def as_table(counts: CountTable | Sequence[int], delta: int | None = None) -> CountTable:
+    """counts as a CountTable: a table as it is, and per-edge totals, as the
+    practical and oracle engines give them, on the out side with zeros on
+    the in side. The eval_* functions read every table through it, so the
+    state a table builds once (pair_max, nonzero) serves every engine."""
     if isinstance(counts, CountTable):
-        return counts.totals_array
-    return np.asarray(counts, dtype=np.int64)
-
-
-def _pair_max(g: TemporalGraph, counts: CountTable | Sequence[int]) -> np.ndarray:
-    if isinstance(counts, CountTable):
-        return counts.pair_max(g)
-    return g.pair_max(_totals_array(counts))
+        return counts
+    totals = np.asarray(counts, dtype=np.int64)
+    return CountTable(np.zeros_like(totals), totals, delta)
 
 
 def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
@@ -241,9 +242,9 @@ def eval_eea(
     """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|:
     only the edges with a non-zero total are thresholded."""
     _check_tau(tau)
-    totals = _totals_array(counts)
-    eids, pairs = counts.nonzero(g) if isinstance(counts, CountTable) else g.nonzero_edges(totals)
-    count = totals[eids]
+    table = as_table(counts)
+    eids, pairs = table.nonzero(g)
+    count = table.totals_array[eids]
     size = _pair_sizes(g, static, universe, pairs)
     keep = count >= _least(tau, size, 1)
     eids = eids[keep]
@@ -274,7 +275,7 @@ def eval_eae(
     """Vertices u with >= tau * |N(u)| neighbors v reachable by an edge
     u -> v that closes at least one triangle."""
     _check_tau(tau)
-    return _vertex_query(g, static, _pair_max(g, counts) >= 1, tau, "eae")
+    return _vertex_query(g, static, as_table(counts).pair_max(g) >= 1, tau, "eae")
 
 
 def eval_eaa(
@@ -290,7 +291,7 @@ def eval_eaa(
     total reaches the tau2 least count."""
     _check_tau(tau1)
     _check_tau(tau2)
-    hit = _pair_max(g, counts) >= _least(tau2, _pair_sizes(g, static, universe), 1)
+    hit = as_table(counts).pair_max(g) >= _least(tau2, _pair_sizes(g, static, universe), 1)
     return _vertex_query(g, static, hit, tau1, "eaa")
 
 

@@ -275,6 +275,66 @@ class TestExitCodes:
         assert code == EXIT_CEILING
 
 
+#: (argv after the command, FOLTY_THREADS or None, exit code): the query
+#: and sweep usage paths. PATH stands for the input file.
+USAGE_PATHS = [
+    *(
+        ([cmd, "eea", "PATH", *grid, "--threads", bad], None, EXIT_USAGE)
+        for cmd, grid in (
+            ("query", ["--delta", "10", "--tau", "0.5"]),
+            ("sweep", ["--delta", "10", "--tau-list", "0.5"]),
+        )
+        for bad in ("0", "abc")
+    ),
+    (["sweep", "eea", "PATH", "--delta", "10", "--tau-list", "0.5"], "0", EXIT_USAGE),
+    (["query", "eaa", "PATH", "--delta", "10", "--tau2", "0.5"], None, EXIT_USAGE),
+    (["query", "eaa", "PATH", "--delta", "10", "--tau1", "0.5"], None, EXIT_USAGE),
+    (["sweep", "eaa", "PATH", "--delta", "10", "--tau-list", "0.5"], None, EXIT_USAGE),
+    (["sweep", "eea", "PATH", "--tau-list", "0.5"], None, EXIT_USAGE),
+    (["sweep", "eea", "PATH", "--delta", "10", "--tau-range", "0.1:0.5"], None, EXIT_USAGE),
+    (["query", "eea", "PATH", "--delta", "10", "--tau", "0.5", "--threads", "+3"], None, EXIT_OK),
+    (["sweep", "eea", "PATH", "--delta", "10", "--tau-list", "0.5", "--threads", "+3"], None, EXIT_OK),
+    (["query", "eea", "PATH", "--delta", "10", "--tau", "0.5", "--threads", "2"], "abc", EXIT_OK),
+    (["stats", "PATH"], "abc", EXIT_OK),
+]
+
+
+class TestUsagePaths:
+    @pytest.mark.parametrize("argv,env,code", USAGE_PATHS)
+    def test_exit_code(self, richer_path, monkeypatch, capsys, argv, env, code):
+        if env is None:
+            monkeypatch.delenv("FOLTY_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FOLTY_THREADS", env)
+        assert main([richer_path if a == "PATH" else a for a in argv]) == code
+        err = capsys.readouterr().err
+        assert ("error: " in err) == (code != EXIT_OK)
+
+    def test_threads_message_names_flag_and_variable(self, richer_path, monkeypatch, capsys):
+        argv = ["sweep", "eea", richer_path, "--delta", "10", "--tau-list", "0.5"]
+        for env, flag in (("0", []), ("1", ["--threads", "abc"])):
+            monkeypatch.setenv("FOLTY_THREADS", env)
+            assert main(argv + flag) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("usage: folty sweep")
+            assert "--threads" in err.splitlines()[-1] and "FOLTY_THREADS" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda path: run_sweep(path, "eea", [], [_tau("0.5")]),
+            lambda path: run_sweep(path, "eea", [10], []),
+            lambda path: run_query(path, "eea", 10, _tau("0.5"), engine="x"),
+            lambda path: run_query(path, "eaa", 10, _tau("0.5")),
+        ],
+    )
+    def test_library_usage_errors(self, richer_path, call):
+        from folty.cli import UsageError
+
+        with pytest.raises(UsageError):
+            call(richer_path)
+
+
 class TestSweep:
     def test_csv_schema_and_monotone_columns(self, richer_path, capsys):
         code = main(

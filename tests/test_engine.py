@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 import folty.engine
 from conftest import brute_closing_neighbors, random_temporal_graph
 from folty.engine import (
@@ -14,6 +16,7 @@ from folty.engine import (
 )
 from folty.graph import TemporalGraph, build_static, degeneracy_order
 from folty.oracle import oracle_counts
+from folty.queries import practical_counts
 
 
 def brute_case(ts1, ts2, ts3, delta):
@@ -182,6 +185,20 @@ class TestPasses:
     def test_delta_zero_equal_timestamps(self):
         g = TemporalGraph.from_edges([(1, 2, 10), (1, 3, 10), (2, 3, 10)])
         assert compute_counts(g, 0).totals() == [1, 0, 0]
+
+    def test_negative_delta_rejected(self):
+        g = TemporalGraph.from_edges([(1, 2, 10), (1, 3, 12), (2, 3, 15)])
+        s = build_static(g)
+        o = degeneracy_order(s)
+        for call in (
+            lambda: compute_counts(g, -1),
+            lambda: count_tables(g, [5, -1]),
+            lambda: out_pass(g, s, o, -1),
+            lambda: in_pass(g, s, o, -1),
+            lambda: practical_counts(g, s, -1),
+        ):
+            with pytest.raises(ValueError, match="delta must be >= 0"):
+                call()
 
     def test_triangle_enumeration_ranks(self):
         rng = random.Random(3)

@@ -129,6 +129,11 @@ class TestParse:
         assert serialize_edge_list(g1) == serialize_edge_list(g2)
 
 
+#: A second line of two values whose separators still read as the canonical
+#: "one space or tab between three fields": only the count of values sends
+#: these to the line loop.
+TWO_VALUE_LINES = [b"1 2 3\n4  5\n", b"1 2 3\n 4 5\n", b"1 2 3\n4 5 \n", b"1 2 3\n4 5\t\n"]
+
 #: Inputs on which the array parse must agree with the line loop: same graph
 #: or the same ParseError.
 PARSE_CASES = {
@@ -196,6 +201,7 @@ PARSE_CASES = {
     "ts_9_3e18": b"1 2 9300000000000000000\n",
     "ts_max_leading_zeros": b"1 2 0009223372036854775807\n",
     "tabs_crlf": b"1\t2\t3\r\n4\t5\t-6\r\n5\t5\t7\r\n2\t1\t3\r\n",
+    **{f"canonical_gaps_two_values_{i}": data for i, data in enumerate(TWO_VALUE_LINES)},
 }
 
 
@@ -319,6 +325,16 @@ class TestArrayParse:
         assert parse_outcome(parse_edge_list, data) == want
         assert calls == [1]
         assert want == ("graph", [[1], [0], [3]], [2, 1000], 0)
+
+    @pytest.mark.parametrize("data", TWO_VALUE_LINES)
+    def test_value_count_takes_line_loop(self, monkeypatch, data):
+        calls = []
+        loop = folty.graph._parse_lines
+        monkeypatch.setattr(folty.graph, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(data)
+        assert err.value.lineno == 2
+        assert calls == [1]
 
     def test_comment_lines_skip_line_loop(self, monkeypatch):
         monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
@@ -519,6 +535,19 @@ class TestStableOrder:
         order, rank, starts = folty.graph._stable_order(keys)
         assert (order.tolist(), rank.tolist(), starts.tolist()) == stable_order_reference(keys)
         assert order.dtype == rank.dtype == np.int64
+
+    @pytest.mark.parametrize("name", sorted(STABLE_ORDER_CASES))
+    def test_overflow_fallback_matches_composite(self, monkeypatch, name):
+        """With the composite taken to overflow, the stable argsort gives
+        the same (order, rank, starts)."""
+        keys = np.array(STABLE_ORDER_CASES[name], dtype=np.int64)
+        want = [a.tolist() for a in folty.graph._stable_order(keys)]
+        monkeypatch.setattr(folty.graph, "_I64_MAX", -1)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = folty.graph._stable_order(keys)
+        assert argsort.call_args.kwargs == {"kind": "stable"}
+        assert [a.tolist() for a in got] == want
+        assert got[0].dtype == got[1].dtype == np.int64
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=-4, max_value=4) | st.sampled_from([I64.min, I64.max]), max_size=80))

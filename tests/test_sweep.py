@@ -72,7 +72,8 @@ def test_count_runs_keep_one_entry_per_delta(graph_path):
     assert runs[0]["triangles_ms"] == runs[0]["in_pass_ms"] == 0.0  # practical laps all as out_pass
 
 
-def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch):
+@pytest.mark.parametrize("engine", ["folty", "practical", "oracle"])
+def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch, engine):
     """Building a table's state (each pair's largest total for eaa, the
     non-zero edges and their pairs for eea) and, once, the graph's lands in
     the elapsed_ms of the first row that uses it, so Σ elapsed_ms covers all
@@ -96,7 +97,7 @@ def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch):
     monkeypatch.setattr(temporal, "nonzero_edges", slow(temporal.nonzero_edges, 100.0))
     monkeypatch.setattr(static, "common_of", slow(static.common_of, 10_000.0))
     for kind in ("eaa", "eea"):
-        rows, _ = run_sweep(graph_path, kind, DELTAS, TAUS, Fraction(1, 3), Universe.COMMON)
+        rows, _ = run_sweep(graph_path, kind, DELTAS, TAUS, Fraction(1, 3), Universe.COMMON, engine)
         elapsed = [r["elapsed_ms"] for r in rows]
         heavy = [i for i, ms in enumerate(elapsed) if ms > 50_000]
         assert heavy == list(range(0, len(rows), len(TAUS))), kind
