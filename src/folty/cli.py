@@ -82,16 +82,21 @@ def _tau_fmt(tau: Fraction | None) -> str:
     return "" if tau is None else str(tau)
 
 
-def _threads(text: str) -> int:
-    """--threads, whose default is FOLTY_THREADS: an integer >= 1. The
-    engines run single-threaded, so the value is not used."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0  # not an integer: refused below with the same message
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"--threads and FOLTY_THREADS take an integer >= 1, got {text!r}")
-    return n
+def _at_least(least: int, source: str):
+    """An argparse type: an integer >= least, refused with a message that
+    names its source. The engines run single-threaded, so --threads is
+    checked but not used."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1  # not an integer: refused below with the same message
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{source} takes an integer >= {least}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _load(path: str, lap=lambda phase: None):
@@ -351,11 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau-range", help="lo:hi:step thresholds")
     p_sweep.add_argument("--tau2", help="fixed inner threshold for eaa sweeps")
 
+    threads = os.environ.get("FOLTY_THREADS", "1")
     for p in (p_query, p_sweep):
         p.add_argument("--universe", choices=["dst", "common"], default="dst")
         p.add_argument("--engine", choices=["folty", "practical", "oracle"], default="folty")
-        p.add_argument("--threads", type=_threads, default=os.environ.get("FOLTY_THREADS", "1"))
-        p.add_argument("--oracle-ceiling", type=int, default=DEFAULT_CEILING)
+        p.add_argument("--threads", type=_at_least(1, "--threads (or FOLTY_THREADS)"), default=threads)
+        p.add_argument("--oracle-ceiling", type=_at_least(0, "--oracle-ceiling"), default=DEFAULT_CEILING)
     return parser
 
 

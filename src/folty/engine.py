@@ -36,12 +36,13 @@ unsigned 64-bit difference, so timestamps at the int64 extremes and any
 delta are exact.
 
 The chains themselves do not depend on delta: only the final window check
-does. So one expansion serves every delta of a sweep (count_tables). The out
-side buckets each hit's window t3 - t by the sorted windows and takes a
-cumulative sum over them. The in side keeps each range once, as the parts of
-its bounds that no window changes and its t3; each fold sorts the upper
-bounds once and cuts the lower bound per window. A single delta is the
-one-window case.
+does. So one expansion serves every delta of a sweep (count_tables), and one
+driver (_counts) folds either side's parts into its (window, edge) table.
+The out side buckets each hit's window t3 - t by the sorted windows and
+adds a running sum over them at each fold. The in side keeps each range
+once, as the parts of its bounds that no window changes and its t3; each
+fold sorts the upper bounds once and cuts the lower bound per window. A
+single delta is the one-window case.
 """
 
 from __future__ import annotations
@@ -131,14 +132,17 @@ def oriented_triangles(
     static: StaticGraph, ordering: DegeneracyOrdering
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Yield (a, b, cs) with Python ints: for the oriented edge (a, b), every
-    c in out_adj[a] & out_adj[b], ascending. Each static triangle appears
+    c that a and b both point to, ascending. Each static triangle appears
     exactly once, with rank(a) < rank(b) < rank(c) for every yielded c. A
-    view over ordering.triangles(); the passes read the arrays directly."""
-    a, b, c = ordering.triangles()
-    heads = np.flatnonzero((np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 0))
-    bounds = np.append(heads, len(c)).tolist()
-    cs = c.tolist()
-    for x, y, lo, hi in zip(a[heads].tolist(), b[heads].tolist(), bounds, bounds[1:]):
+    view over ordering.triangle_entries(); the passes read the entries
+    directly."""
+    ab, ac, _ = ordering.triangle_entries()
+    heads = np.flatnonzero(np.diff(ab, prepend=-1))  # rows ascend by ab, the edge a -> b
+    first = ab[heads]
+    a = np.searchsorted(ordering.out_start, first, "right") - 1
+    bounds = np.append(heads, len(ab)).tolist()
+    cs = ordering.out_nbr[ac].tolist()
+    for x, y, lo, hi in zip(a.tolist(), ordering.out_nbr[first].tolist(), bounds, bounds[1:]):
         yield x, y, cs[lo:hi]
 
 
@@ -219,27 +223,22 @@ def out_pass(
     delta: int,
 ) -> np.ndarray:
     """out_count[e] for every edge, as an int64 array: closing neighbors on
-    the source's out side. The one-window case of _out_counts."""
-    return _out_counts(g, ordering, _windows(g, [delta]))[0]
+    the source's out side. The one-window case of count_tables."""
+    return _counts(g, ordering, _windows(g, [delta]), _out_hits, _fold)[0]
 
 
-def _out_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarray) -> np.ndarray:
-    """out_count for each of one or more ascending uint64 windows, as an
-    int64 array of shape (len(windows), m).
-
-    The hits of _out_hits are folded at most KEY_CAP at a time (_capped),
-    each counted under the first window that admits it (_fold); a
-    cumulative sum over the windows then credits it to that window and
-    every larger one.
-    """
-    nw, m = len(windows), g.m
-    table = np.zeros(nw * m, dtype=np.int64)
-    for span, eid in _capped(_out_hits(g, ordering, windows[-1])):
-        _fold(table, windows, span, eid)
-    counts = table.reshape(nw, m)
-    for row in range(1, nw):  # row-wise: a cumsum along axis 0 runs m short loops
-        counts[row] += counts[row - 1]
-    return counts
+def _counts(
+    g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarray, parts: Callable, fold: Callable
+) -> np.ndarray:
+    """One side's counts for each of one or more ascending uint64 windows,
+    as an int64 array of shape (len(windows), m): the parts that side
+    collects within the last window (_out_hits or _in_ranges), folded into
+    the table at most KEY_CAP at a time (_capped) by fold(table, g,
+    windows, *part) (_fold or _fold_ranges)."""
+    table = np.zeros((len(windows), g.m), dtype=np.int64)
+    for part in _capped(parts(g, ordering, windows[-1])):
+        fold(table, g, windows, *part)
+    return table
 
 
 def _out_hits(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -264,13 +263,18 @@ def _out_hits(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -
         yield span[hit], g.pair_eid[i[hit]]
 
 
-def _fold(table: np.ndarray, windows: np.ndarray, span: np.ndarray, eid: np.ndarray) -> None:
-    """Count hits into the flat (window, edge) table, each at the first
-    window that admits its span (no span exceeds the last), with one
-    bincount. eid is a fresh array, reused as the key."""
-    if len(windows) > 1:
-        eid += np.searchsorted(windows[:-1], span) * (len(table) // len(windows))
-    table += np.bincount(eid, minlength=len(table))
+def _fold(table: np.ndarray, g: TemporalGraph, windows: np.ndarray, span: np.ndarray, eid: np.ndarray) -> None:
+    """Credit each hit to every window that admits its span (no span
+    exceeds the last): one bincount counts it at the first such window,
+    and a running sum over the windows carries it to every larger one.
+    eid is a fresh array, reused as the key."""
+    nw, m = table.shape
+    if nw > 1:
+        eid += np.searchsorted(windows[:-1], span) * m
+    counts = np.bincount(eid, minlength=table.size).reshape(nw, m)
+    for row in range(1, nw):  # row-wise: a cumsum along axis 0 runs m short loops
+        counts[row] += counts[row - 1]
+    table += counts
 
 
 def in_pass(
@@ -280,18 +284,8 @@ def in_pass(
     delta: int,
 ) -> np.ndarray:
     """in_count[e] for every edge, as an int64 array: closing neighbors on
-    the source's in side. The one-window case of _in_counts."""
-    return _in_counts(g, ordering, _windows(g, [delta]))[0]
-
-
-def _in_counts(g: TemporalGraph, ordering: DegeneracyOrdering, windows: np.ndarray) -> np.ndarray:
-    """in_count for each of one or more ascending uint64 windows, as an
-    int64 array of shape (len(windows), m): the ranges of _in_ranges,
-    folded at most KEY_CAP at a time (_capped) by _fold_ranges."""
-    in_count = np.zeros((len(windows), g.m), dtype=np.int64)
-    for floor, hi, t3 in _capped(_in_ranges(g, ordering, windows[-1])):
-        _fold_ranges(in_count, g, windows, floor, hi, t3)
-    return in_count
+    the source's in side. The one-window case of count_tables."""
+    return _counts(g, ordering, _windows(g, [delta]), _in_ranges, _fold_ranges)[0]
 
 
 def _in_ranges(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -> Iterator[tuple[np.ndarray, ...]]:
@@ -328,7 +322,7 @@ def _in_ranges(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) 
 
 
 def _fold_ranges(
-    in_count: np.ndarray, g: TemporalGraph, windows: np.ndarray, floor: np.ndarray, hi: np.ndarray, t3: np.ndarray
+    table: np.ndarray, g: TemporalGraph, windows: np.ndarray, floor: np.ndarray, hi: np.ndarray, t3: np.ndarray
 ) -> None:
     """Credit each entry of the target pairs that the ranges touch, per
     window, with the number of ranges [lo, hi) that hold its key q:
@@ -343,7 +337,7 @@ def _fold_ranges(
     below = np.searchsorted(np.sort(hi), q, "right")
     base = pair * r
     times, at = np.unique(t3, return_inverse=True)  # each distinct t3 is cut once per window
-    for row, d in zip(in_count, windows):
+    for row, d in zip(table, windows):
         lo = np.minimum(np.maximum(floor, base + np.searchsorted(g.t_distinct, _minus(times, d))[at]), hi)
         lo.sort()
         row[rows] += np.searchsorted(lo, q, "right") - below
@@ -371,9 +365,9 @@ def count_tables(
     lap = lap or (lambda phase: None)
     g.entry_pairs(ordering)
     lap("triangles")
-    outs = _out_counts(g, ordering, windows)
+    outs = _counts(g, ordering, windows, _out_hits, _fold)
     lap("out_pass")
-    ins = _in_counts(g, ordering, windows)
+    ins = _counts(g, ordering, windows, _in_ranges, _fold_ranges)
     lap("in_pass")
     column = {int(w): j for j, w in enumerate(windows)}
     picks = [column[_window(g, delta)] for delta in deltas]

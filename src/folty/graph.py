@@ -473,13 +473,6 @@ def serialize_edge_list(g: TemporalGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _csr_lists(start: np.ndarray, items: np.ndarray) -> list[list[int]]:
-    """Rows items[start[u]:start[u + 1]] as lists of Python ints."""
-    values = items.tolist()
-    bounds = start.tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, rank, starts): the permutation np.argsort(keys,
     kind="stable") gives, the dense rank of each keys[order] among the
@@ -571,11 +564,10 @@ class StaticGraph:
     u's neighbors are adj_nbr[adj_start[u]:adj_start[u + 1]], ascending; the
     static edges are the columns edge_u < edge_v, ascending by key
     u * n + v. degree, adj, edges and adj_sets are list views built on
-    first use and edge_degree a list computed on each access, for the
-    oracle, the practical engine and tests. Common-neighbor counts, the
-    triangles on each edge, are one int64 array aligned with the edge
-    columns, built on first use from the triangle entries of the last
-    ordering degeneracy_order built for this graph.
+    first use, for the oracle, the practical engine and tests.
+    Common-neighbor counts, the triangles on each edge, are one int64 array
+    aligned with the edge columns, built on first use from the triangle
+    entries of the last ordering degeneracy_order built for this graph.
     """
 
     def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
@@ -596,26 +588,18 @@ class StaticGraph:
     @cached_property
     def adj(self) -> list[list[int]]:
         """adj[u]: u's neighbors, ascending."""
-        return _csr_lists(self.adj_start, self.adj_nbr)
+        nbr, bounds = self.adj_nbr.tolist(), self.adj_start.tolist()
+        return [nbr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
         """The static edges (u, v), u < v, ascending."""
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
 
-    @property
-    def edge_degree(self) -> list[int]:
-        """min(degree[u], degree[v]) for every static edge (u, v)."""
-        return self._edge_degree_array().tolist()
-
     @cached_property
     def adj_sets(self) -> list[set[int]]:
         """adj_sets[u]: u's neighbors as a set."""
         return [set(a) for a in self.adj]
-
-    def _edge_degree_array(self) -> np.ndarray:
-        deg = np.diff(self.adj_start)
-        return np.minimum(deg[self.edge_u], deg[self.edge_v])
 
     def common_counts(self) -> np.ndarray:
         """|N(u) & N(v)| for every static edge (u, v), in edge order: the
@@ -647,7 +631,9 @@ class StaticGraph:
         ]
 
     def sum_edge_degree(self) -> int:
-        return int(self._edge_degree_array().sum())
+        """The sum over static edges (u, v) of min(degree[u], degree[v])."""
+        deg = np.diff(self.adj_start)
+        return int(np.minimum(deg[self.edge_u], deg[self.edge_v]).sum())
 
 
 def build_static(g: TemporalGraph) -> StaticGraph:
@@ -668,8 +654,7 @@ class DegeneracyOrdering:
     the degeneracy, the largest residual degree seen at any removal. The
     orientation points each static edge from its lower-rank endpoint to the
     other, in CSR form: u's out-neighbors are
-    out_nbr[out_start[u]:out_start[u + 1]], ascending by id; out_adj is the
-    same as a list of lists, built on first use.
+    out_nbr[out_start[u]:out_start[u + 1]], ascending by id.
     """
 
     def __init__(self, pi: np.ndarray, order: np.ndarray, alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
@@ -679,7 +664,6 @@ class DegeneracyOrdering:
         self.out_start = out_start
         self.out_nbr = out_nbr
         self._triangle_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._triangles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def pi(self) -> list[int]:
@@ -688,10 +672,6 @@ class DegeneracyOrdering:
     @cached_property
     def order(self) -> list[int]:
         return self._order.tolist()
-
-    @cached_property
-    def out_adj(self) -> list[list[int]]:
-        return _csr_lists(self.out_start, self.out_nbr)
 
     def triangle_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every static triangle once, as the orientation entries (ab, ac,
@@ -705,16 +685,6 @@ class DegeneracyOrdering:
         if self._triangle_entries is None:
             self._triangle_entries = _closed_wedges(self.out_start, self.out_nbr)
         return self._triangle_entries
-
-    def triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The triangles of triangle_entries as int64 vertex columns (a, b,
-        c), in the same order, which ascends by (a, b, c); built on first
-        use."""
-        if self._triangles is None:
-            ab, ac, _ = self.triangle_entries()
-            tail = np.repeat(np.arange(len(self.out_start) - 1, dtype=np.int64), np.diff(self.out_start))
-            self._triangles = (tail[ab], self.out_nbr[ab], self.out_nbr[ac])
-        return self._triangles
 
 
 def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:

@@ -53,7 +53,6 @@ import numpy as np
 
 from .engine import CountTable
 from .graph import StaticGraph, TemporalGraph
-from .scans import find_exceeding_entry_ls
 
 _I64_MAX = 2**63 - 1
 
@@ -314,24 +313,31 @@ def practical_counts(g: TemporalGraph, static: StaticGraph, delta: int) -> list[
                 continue
             e_uw = pair(u, w)
             e_vw = pair(v, w)
-            _chain_ls(e_uv[0], e_uv[1], e_uw[1], e_vw[1], delta, count)
-            _chain_ls(e_vu[0], e_vu[1], e_vw[1], e_uw[1], delta, count)
+            _chain(e_uv[0], e_uv[1], e_uw[1], e_vw[1], delta, count)
+            _chain(e_vu[0], e_vu[1], e_vw[1], e_uw[1], delta, count)
     return count
 
 
-def _chain_ls(eids1, ts1, ts2, ts3, delta, count):
-    if not eids1 or not ts2 or not ts3:
-        return
-    l12 = find_exceeding_entry_ls(ts1, ts2)
-    l23 = find_exceeding_entry_ls(ts2, ts3)
-    n2 = len(ts2)
-    n3 = len(ts3)
-    for i, eid in enumerate(eids1):
-        j = l12[i]
-        if j < n2:
-            k = l23[j]
-            if k < n3 and ts3[k] <= ts1[i] + delta:
-                count[eid] += 1
+def _chain(eids1, ts1, ts2, ts3, delta, count):
+    """Credit each L1 edge at t whose first L2 entry at or after t, at t2,
+    is followed by a first L3 entry at or after t2 within delta of t.
+
+    Both entries only move later as t does, so one forward scan keeps them
+    in t2 and t3, steps through L2 and L3 only when t passes them, and
+    stops as soon as either list runs out."""
+    it2, it3 = iter(ts2), iter(ts3)
+    t2 = t3 = float("-inf")
+    for eid, t in zip(eids1, ts1):
+        while t2 < t:
+            t2 = next(it2, None)
+            if t2 is None:
+                return
+        while t3 < t2:
+            t3 = next(it3, None)
+            if t3 is None:
+                return
+        if t3 <= t + delta:
+            count[eid] += 1
 
 
 def practical_eea(

@@ -14,7 +14,8 @@ from folty import cli
 from folty.cli import main, run_sweep
 from folty.engine import count_tables
 from folty.graph import build_static, parse_edge_list
-from folty.queries import Certificate, Universe, VertexSolution, eval_eaa, eval_eae, eval_eea
+from folty.oracle import oracle_solutions
+from folty.queries import Certificate, QuerySpec, SolutionSet, Universe, VertexSolution, eval_eaa, eval_eae, eval_eea
 
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
@@ -195,3 +196,38 @@ def test_sweeps_build_no_rows(graph_path, constructions, kind, universe):
     want = [len(answers(table, tau).solutions) for table in tables for tau in SWEEP_TAUS]
     assert [row["num_solutions"] for row in rows] == want
     assert 0 in want and any(want)
+
+
+EVALS = {
+    "eea": lambda g, static, table, spec: eval_eea(g, static, table, spec.tau, spec.universe),
+    "eae": lambda g, static, table, spec: eval_eae(g, static, table, spec.tau),
+    "eaa": lambda g, static, table, spec: eval_eaa(g, static, table, spec.tau, spec.tau2, spec.universe),
+}
+
+
+@pytest.mark.parametrize("kind", list(EVALS))
+def test_row_built_columns_match_eval_columns(graph_path, empty_path, kind):
+    """The oracle builds its answers from rows; their columns are the
+    columns of the eval_* answers, on a graph with answers and on one whose
+    every answer is empty."""
+    tau2 = Fraction(1, 4) if kind == "eaa" else None
+    found = 0
+    for path in (graph_path, empty_path):
+        g = parse_edge_list(Path(path).read_text())
+        static = build_static(g)
+        (table,) = count_tables(g, [2**64], static)
+        for universe in Universe:
+            spec = QuerySpec(kind, 2**64, Fraction(1, 3), tau2, universe)
+            rows = oracle_solutions(g, 2**64, spec, static)
+            assert rows.columns() == EVALS[kind](g, static, table, spec).columns()
+            if path == empty_path:
+                assert rows.columns() == [[] for _ in rows.row._fields]
+            found += rows.total
+    assert found > 0
+
+
+def test_solution_set_repr_and_foreign_eq():
+    sols = SolutionSet("eae", [VertexSolution(7, 1, 2)], 1)
+    assert repr(sols) == "SolutionSet(kind='eae', solutions=[VertexSolution(vertex=7, satisfied=1, degree=2)], total=1)"
+    assert sols.__eq__(object()) is NotImplemented
+    assert sols != object()

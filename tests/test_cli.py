@@ -296,6 +296,14 @@ USAGE_PATHS = [
     (["sweep", "eea", "PATH", "--delta", "10", "--tau-list", "0.5", "--threads", "+3"], None, EXIT_OK),
     (["query", "eea", "PATH", "--delta", "10", "--tau", "0.5", "--threads", "2"], "abc", EXIT_OK),
     (["stats", "PATH"], "abc", EXIT_OK),
+    *(
+        ([cmd, "eea", "PATH", *grid, "--engine", "oracle", "--oracle-ceiling", ceiling], None, code)
+        for cmd, grid in (
+            ("query", ["--delta", "10", "--tau", "0.5"]),
+            ("sweep", ["--delta", "10", "--tau-list", "0.5"]),
+        )
+        for ceiling, code in (("-1", EXIT_USAGE), ("abc", EXIT_USAGE), ("0", EXIT_CEILING))
+    ),
 ]
 
 

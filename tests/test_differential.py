@@ -124,6 +124,32 @@ def test_empty_input():
         assert (ct.in_count, ct.out_count) == ([], [])
 
 
+#: Hand-built triangles on 1, 2, 3 that end a practical chain at each of
+#: its exits, and the oracle's total over all edges at the largest delta.
+#: For static edge (1, 2) and witness 3 the chain reads L1 = E_12,
+#: L2 = E_13 and L3 = E_23; the other five chains permute the pairs.
+CHAIN_EXITS = {
+    "l1-after-l2-end": ([(1, 2, 1), (1, 2, 5), (1, 2, 9), (1, 3, 3), (2, 3, 4)], 1),
+    "l3-ends-before-later-l2": ([(1, 2, 1), (1, 2, 6), (1, 2, 8), (1, 3, 2), (1, 3, 7), (2, 3, 3)], 1),
+    "equal-times": ([(x, y, 5) for x in (1, 2, 3) for y in (1, 2, 3) if x != y], 6),
+    "equal-times-one-late": ([(1, 2, 5), (1, 3, 5), (2, 3, 5), (2, 1, 5), (3, 1, 5), (3, 2, 6)], 4),
+    "duplicate-l1": ([(1, 2, 2), (1, 2, 2), (1, 2, 2), (1, 2, 5), (1, 3, 3), (1, 3, 3), (2, 3, 3), (2, 3, 4)], 3),
+    "l1-absent": ([(2, 1, 1), (1, 3, 2), (3, 2, 3), (2, 3, 4)], 0),
+    "l2-absent": ([(1, 2, 1), (1, 3, 2), (2, 3, 3), (3, 2, 4)], 1),
+    "l3-absent": ([(1, 2, 1), (1, 3, 0), (2, 3, 2), (1, 3, 4), (2, 3, 5)], 1),
+}
+
+
+@pytest.mark.parametrize("name", CHAIN_EXITS)
+def test_practical_chain_exits(name):
+    edges, total = CHAIN_EXITS[name]
+    g = TemporalGraph.from_edges(edges)
+    static = build_static(g)
+    for delta in (0, 1, 2, 3, 5, 10**30):
+        assert practical_counts(g, static, delta) == oracle_counts(g, delta, static).count, delta
+    assert sum(oracle_counts(g, 10**30, static).count) == total
+
+
 def test_expansions_span_several_blocks():
     rng = random.Random(0xD1F4)
     clique = [(u, v, rng.randint(0, 2000))
@@ -361,6 +387,18 @@ def test_count_tables_memory_is_the_tables(monkeypatch):
 # -- the in side as disjoint ranges --------------------------------------------
 
 
+def in_counts(g, ordering, windows):
+    """The in side's (windows, m) table, folded by the engine's
+    _fold_ranges as it stands when called."""
+    return folty.engine._counts(g, ordering, windows, folty.engine._in_ranges, folty.engine._fold_ranges)
+
+
+def out_counts(g, ordering, windows):
+    """The out side's (windows, m) table, folded by the engine's _fold as
+    it stands when called."""
+    return folty.engine._counts(g, ordering, windows, folty.engine._out_hits, folty.engine._fold)
+
+
 def hub_edges(rng, sigma, witnesses, span):
     """A target pair 0 -> 1 with sigma edges (and 1 -> 0 with sigma // 8),
     plus witnesses 2, 3, ... each joined only to 0 and 1, so each peels
@@ -405,13 +443,13 @@ def test_in_side_folds_mid_expansion(monkeypatch, windows):
     deltas = [40, 0, 10**30, 3, 150][:windows]
     grid = folty.engine._windows(g, deltas)
     assert len(grid) == windows
-    want = folty.engine._in_counts(g, ordering, grid)
+    want = in_counts(g, ordering, grid)
     monkeypatch.setattr(folty.engine, "KEY_CAP", 16)
     monkeypatch.setattr(folty.graph, "BLOCK", 8)
     folds = []
     fold_ranges = folty.engine._fold_ranges
     monkeypatch.setattr(folty.engine, "_fold_ranges", lambda *args: folds.append(1) or fold_ranges(*args))
-    assert np.array_equal(folty.engine._in_counts(g, ordering, grid), want)
+    assert np.array_equal(in_counts(g, ordering, grid), want)
     assert len(folds) > 3
     for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
         assert table.totals() == oracle_counts(g, delta, static).count, delta
@@ -445,10 +483,10 @@ def test_in_side_folds_hold_at_most_key_cap(monkeypatch, windows):
         fold_ranges(in_count, g, windows, floor, hi, t3)
 
     monkeypatch.setattr(folty.engine, "_fold_ranges", counting)
-    counts = folty.engine._in_counts(g, ordering, grid)
+    counts = in_counts(g, ordering, grid)
     assert len(held) > 3 and max(held) <= cap, held
     monkeypatch.undo()
-    assert np.array_equal(counts, folty.engine._in_counts(g, ordering, grid))
+    assert np.array_equal(counts, in_counts(g, ordering, grid))
     for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
         assert table.totals() == oracle_counts(g, delta, static).count, delta
 
@@ -474,15 +512,15 @@ def test_out_side_folds_hold_at_most_key_cap(monkeypatch, windows):
     held = []
     fold = folty.engine._fold
 
-    def counting(table, windows, span, eid):
+    def counting(table, g, windows, span, eid):
         held.append(len(eid))
-        fold(table, windows, span, eid)
+        fold(table, g, windows, span, eid)
 
     monkeypatch.setattr(folty.engine, "_fold", counting)
-    counts = folty.engine._out_counts(g, ordering, grid)
+    counts = out_counts(g, ordering, grid)
     assert len(held) > 3 and max(held) <= cap, held
     monkeypatch.undo()
-    assert np.array_equal(counts, folty.engine._out_counts(g, ordering, grid))
+    assert np.array_equal(counts, out_counts(g, ordering, grid))
     for delta, table in zip(deltas, count_tables(g, deltas, static, ordering)):
         assert table.totals() == oracle_counts(g, delta, static).count, delta
 

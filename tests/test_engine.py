@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import folty.engine
@@ -247,15 +248,13 @@ class TestOracleEquivalence:
             o = degeneracy_order(s)
             ct = compute_counts(g, 500, s, o)
             common = dict(zip(s.edges, s.common_counts().tolist()))
-            in_adj_count = [0] * g.n
-            for u in range(g.n):
-                for v in o.out_adj[u]:
-                    in_adj_count[v] += 1
+            out_degree = np.diff(o.out_start).tolist()
+            in_degree = np.bincount(o.out_nbr, minlength=g.n).tolist()
             for eid in range(g.m):
                 x, y = g.src[eid], g.dst[eid]
                 source = x if o.pi[x] < o.pi[y] else y
-                assert ct.out_count[eid] <= len(o.out_adj[source])
-                assert ct.in_count[eid] <= in_adj_count[source]
+                assert ct.out_count[eid] <= out_degree[source]
+                assert ct.in_count[eid] <= in_degree[source]
                 key = (x, y) if x < y else (y, x)
                 assert ct.in_count[eid] + ct.out_count[eid] <= common[key]
 
@@ -296,6 +295,16 @@ class TestOracleEquivalence:
             other = compute_counts(g, 20, threads=threads)
             assert (other.in_count, other.out_count) == (base.in_count, base.out_count)
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            compute_counts(TemporalGraph.from_edges([(1, 2, 1), (1, 3, 2), (2, 3, 3)]), 5, threads=0)
+
+    def test_count_table_repr_and_foreign_eq(self):
+        ct = CountTable([1, 0], [2, 3], 5)
+        assert repr(ct) == "CountTable(in_count=[1, 0], out_count=[2, 3], delta=5)"
+        assert ct.__eq__(object()) is NotImplemented
+        assert ct != object()
+
     def test_count_table_totals(self):
         ct = CountTable([1, 0], [2, 3], 5)
         assert ct.totals() == [3, 3]
@@ -314,13 +323,13 @@ class TestOrderingCache:
             want = {d: oracle_counts(g, d).count for d in deltas}
             s = build_static(g)
             o = degeneracy_order(s)
-            triangles = o.triangles()
+            triangles = o.triangle_entries()
             for order in (deltas, deltas[::-1], rng.sample(deltas, len(deltas)), deltas):
                 for d in order:
                     ct = compute_counts(g, d, s, o)
                     assert (ct.in_count, ct.out_count) == (fresh[d].in_count, fresh[d].out_count)
                     assert ct.totals() == want[d]
-            assert o.triangles() is triangles
+            assert o.triangle_entries() is triangles
 
     def test_given_ordering_builds_no_projection(self, monkeypatch):
         """With an ordering and no static graph, neither count call builds

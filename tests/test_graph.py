@@ -664,7 +664,7 @@ class TestStatic:
         g = TemporalGraph.from_edges([(1, 2, 1), (1, 3, 2), (1, 4, 3)])
         s = build_static(g)
         assert s.common_counts().tolist() == [0, 0, 0]
-        assert s.edge_degree == [1, 1, 1]
+        assert s.sum_edge_degree() == 3
 
     def test_common_matches_brute_on_random_graphs(self):
         rng = random.Random(7)
@@ -745,7 +745,6 @@ class TestStaticArrays:
             edges = sorted((u, v) for u in range(s.n) for v in nbrs[u] if u < v)
             assert s.edges == edges
             assert list(zip(s.edge_u.tolist(), s.edge_v.tolist())) == edges
-            assert s.edge_degree == [min(s.degree[u], s.degree[v]) for u, v in edges]
             assert s.edge_u.dtype == s.edge_v.dtype == np.int64
 
     def test_payload_types_are_int(self):
@@ -753,7 +752,6 @@ class TestStaticArrays:
             assert all(type(d) is int for d in s.degree)
             assert all(type(x) is int for e in s.edges for x in e)
             assert all(type(x) is int for a in s.adj for x in a)
-            assert all(type(d) is int for d in s.edge_degree)
             assert type(s.sum_edge_degree()) is int
 
     def test_sum_edge_degree_brute_force(self):
@@ -763,23 +761,40 @@ class TestStaticArrays:
             assert s.sum_edge_degree() == want
 
 
+def out_lists(ordering):
+    """u's out-neighbors in the orientation, as one list per vertex."""
+    bounds = ordering.out_start.tolist()
+    return [ordering.out_nbr[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+
+
+def triangle_rows(ordering):
+    """(a, b, c) for each row (ab, ac, bc) of triangle_entries, after
+    checking that the three entries are the edges a -> b, a -> c and
+    b -> c."""
+    tail = np.repeat(np.arange(len(ordering.out_start) - 1), np.diff(ordering.out_start))
+    head = ordering.out_nbr
+    ab, ac, bc = ordering.triangle_entries()
+    assert tail[ac].tolist() == tail[ab].tolist()
+    assert tail[bc].tolist() == head[ab].tolist() and head[bc].tolist() == head[ac].tolist()
+    return list(zip(tail[ab].tolist(), head[ab].tolist(), head[ac].tolist()))
+
+
 class TestOrientation:
-    """The CSR out-orientation and its list view against the peel's ranks."""
+    """The CSR out-orientation against the peel's ranks."""
 
     def test_out_adj_matches_definition(self):
         for s in static_corpus(64):
             o = degeneracy_order(s)
             assert sorted(o.pi) == list(range(s.n)) and all(type(r) is int for r in o.pi)
             want = [sorted(v for v in s.adj[u] if o.pi[v] > o.pi[u]) for u in range(s.n)]
-            assert o.out_adj == want
             assert o.out_start.tolist() == np.cumsum([0] + [len(a) for a in want]).tolist()
             assert o.out_nbr.tolist() == [v for a in want for v in a]
-            assert all(type(v) is int for a in o.out_adj for v in a)
+            assert o.out_start.dtype == o.out_nbr.dtype == np.int64
 
 
 def old_oriented_triangles(ordering):
     """The (a, b, cs) sequence of the list intersection the arrays replace."""
-    out_adj = ordering.out_adj
+    out_adj = out_lists(ordering)
     for a, na in enumerate(out_adj):
         for b in na:
             common = sorted(set(na) & set(out_adj[b]))
@@ -788,7 +803,7 @@ def old_oriented_triangles(ordering):
 
 
 class TestTriangles:
-    """DegeneracyOrdering.triangles against a brute-force triangle set."""
+    """DegeneracyOrdering.triangle_entries against a brute-force triangle set."""
 
     @pytest.mark.parametrize("block", [1, 2, 7, folty.graph.BLOCK])
     def test_match_brute_force(self, monkeypatch, block):
@@ -800,9 +815,8 @@ class TestTriangles:
                 frozenset((u, v, w))
                 for u in range(s.n) for v in sets[u] for w in sets[u] & sets[v]
             }
-            a, b, c = o.triangles()
-            assert a.dtype == b.dtype == c.dtype == np.int64
-            rows = list(zip(a.tolist(), b.tolist(), c.tolist()))
+            assert all(column.dtype == np.int64 for column in o.triangle_entries())
+            rows = triangle_rows(o)
             assert rows == sorted(rows)
             assert all(o.pi[x] < o.pi[y] < o.pi[z] for x, y, z in rows)
             assert len(rows) == len(want) and {frozenset(r) for r in rows} == want
@@ -819,18 +833,13 @@ class TestTriangles:
     def test_built_once_per_ordering(self):
         o = degeneracy_order(static_from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]))
         assert o.triangle_entries() is o.triangle_entries()
-        assert o.triangles() is o.triangles()
-        assert len(o.triangles()[0]) == 220
+        assert len(o.triangle_entries()[0]) == 220
 
     def test_entries_are_the_triangle_edges(self):
         for s in static_corpus(68):
             o = degeneracy_order(s)
-            tail = np.repeat(np.arange(s.n), np.diff(o.out_start))
-            ab, ac, bc = o.triangle_entries()
-            a, b, c = o.triangles()
-            for entry, x, y in ((ab, a, b), (ac, a, c), (bc, b, c)):
-                assert tail[entry].tolist() == x.tolist()
-                assert o.out_nbr[entry].tolist() == y.tolist()
+            rows = triangle_rows(o)
+            assert rows == [(a, b, c) for a, b, cs in oriented_triangles(s, o) for c in cs]
 
 
 class TestEntryPairs:
@@ -845,7 +854,7 @@ class TestEntryPairs:
             fwd, bwd = g.entry_pairs(o)
             used = set(np.concatenate(o.triangle_entries()).tolist())
             pid = {divmod(key, g.n): p for p, key in enumerate(g.pair_key.tolist())}
-            for e, (x, y) in enumerate((u, v) for u in range(g.n) for v in o.out_adj[u]):
+            for e, (x, y) in enumerate((u, v) for u, nbrs in enumerate(out_lists(o)) for v in nbrs):
                 want = (pid.get((x, y), -1), pid.get((y, x), -1)) if e in used else (-1, -1)
                 assert (fwd[e], bwd[e]) == want
             assert fwd.dtype == bwd.dtype == np.int64
@@ -879,7 +888,7 @@ class TestDegeneracy:
         o = degeneracy_order(build_static(g))
         assert o.alpha == 2
         assert [g.orig[v] for v in o.order] == [1, 2, 3]
-        out = {g.orig[u]: sorted(g.orig[v] for v in o.out_adj[u]) for u in range(g.n)}
+        out = {g.orig[u]: sorted(g.orig[v] for v in nbrs) for u, nbrs in enumerate(out_lists(o))}
         assert out == {1: [2, 3], 2: [3], 3: []}
 
     def test_star_alpha_one(self):
@@ -891,7 +900,7 @@ class TestDegeneracy:
         for _ in range(20):
             g = random_temporal_graph(rng, max_vertices=40, max_edges=250)
             o = degeneracy_order(build_static(g))
-            assert all(len(nbrs) <= o.alpha for nbrs in o.out_adj)
+            assert all(len(nbrs) <= o.alpha for nbrs in out_lists(o))
 
     def test_orientation_partitions_static_edges(self):
         rng = random.Random(42)
@@ -899,7 +908,7 @@ class TestDegeneracy:
             g = random_temporal_graph(rng, max_vertices=40, max_edges=250)
             s = build_static(g)
             o = degeneracy_order(s)
-            oriented = {(u, v) for u in range(g.n) for v in o.out_adj[u]}
+            oriented = {(u, v) for u, nbrs in enumerate(out_lists(o)) for v in nbrs}
             for u, v in s.edges:
                 assert ((u, v) in oriented) != ((v, u) in oriented)
             assert len(oriented) == len(s.edges)

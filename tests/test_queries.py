@@ -47,6 +47,14 @@ class TestTauParsing:
         assert parse_tau("1") == Fraction(1)
         assert parse_tau("12.5%") == Fraction(1, 8)
 
+    def test_fraction_and_float(self):
+        assert parse_tau(Fraction(1, 4)) == Fraction(1, 4)
+        assert parse_tau(0.25) == Fraction(1, 4)
+        assert parse_tau(0.1) == Fraction(1, 10)  # through its repr, not the binary float
+        for bad in (Fraction(5, 4), 0.0):
+            with pytest.raises(ParameterError):
+                parse_tau(bad)
+
     def test_rejects_out_of_range(self):
         for bad in ("0", "-0.5", "1.5", "150%", "5/4"):
             with pytest.raises(ParameterError):

@@ -15,7 +15,7 @@ from folty.queries import SolutionSet, Universe, eval_eaa, eval_eae, eval_eea
 VIEWS = {
     TemporalGraph: ("edge_lists", "pairs"),
     StaticGraph: ("degree", "adj", "edges", "adj_sets"),
-    DegeneracyOrdering: ("pi", "order", "out_adj"),
+    DegeneracyOrdering: ("pi", "order"),
     CountTable: ("in_count", "out_count", "_totals"),
     SolutionSet: ("solutions",),
 }
