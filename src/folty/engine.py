@@ -35,9 +35,13 @@ before a fold credits them (_capped). Window checks compare t3 - t as an
 unsigned 64-bit difference, so timestamps at the int64 extremes and any
 delta are exact.
 
-The chains themselves do not depend on delta: only the final window check
-does. So one expansion serves every delta of a sweep (count_tables), and one
-driver (_counts) folds either side's parts into its (window, edge) table.
+The chains themselves do not depend on delta: only the window checks do,
+and until the fold they use only the largest window. Since t3 >= t2, the
+out side cuts a chain whose L2 entry is already past that window after its
+first lookup, before the second; the final check drops the chains that close
+outside it. So one expansion serves every delta of a sweep (count_tables),
+and one driver (_counts) folds either side's parts into its (window, edge)
+table.
 The out side buckets each hit's window t3 - t by the sorted windows and
 adds a running sum over them at each fold. The in side keeps each range
 once, as the parts of its bounds that no window changes and its t3; each
@@ -193,8 +197,9 @@ def _expand(
 
 def _next_entry(g: TemporalGraph, i: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For entries i of pairs qa: the first entry of pair qb at or after
-    each one's time, and whether it exists (else the index is past qb's
-    list)."""
+    each one's time, and whether it exists. When it does not, the index is
+    past qb's list: the next pair's first entry, or m when qb is the last
+    pair, so a gather by it must be clamped."""
     j = np.searchsorted(g.pair_comp, g.pair_comp[i] + (qb - qa) * len(g.t_distinct))
     return j, j < g.pair_start[qb + 1]
 
@@ -249,18 +254,20 @@ def _out_hits(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -
     with witness b as (E_ac, E_ab, E_cb) and (E_ca, E_cb, E_ab). An L1 edge at
     t is credited iff the first L2 entry at or after t, then the first L3
     entry at or after that, exist and the latter is within the window of t.
-    The chain does not depend on the window, so each hit is collected once,
-    with its span t3 - t.
+    Since t3 >= t2, a chain whose L2 entry is past `last` cannot close, so
+    it is cut before the second lookup. No other step depends on the
+    window, so each hit is collected once, with its span t3 - t.
     """
-    ts = g.pair_ts
+    ts, top = g.pair_ts.view(np.uint64), g.m - 1
     for i, q1, q2, q3 in _expand(g, ordering, ((0, 1, 2, 3), (2, 4, 0, 5), (4, 2, 5, 0))):
-        j, hit = _next_entry(g, i, q1, q2)
-        i, j, q2, q3 = i[hit], j[hit], q2[hit], q3[hit]
-        k, hit = _next_entry(g, j, q2, q3)
-        i, k = i[hit], k[hit]
-        span = ts[k].view(np.uint64) - ts[i].view(np.uint64)
-        hit = span <= last
-        yield span[hit], g.pair_eid[i[hit]]
+        j, found = _next_entry(g, i, q1, q2)
+        t = ts[i]
+        keep = np.flatnonzero(found & (ts[np.minimum(j, top)] - t <= last))
+        i, j, q2, q3, t = (a.take(keep) for a in (i, j, q2, q3, t))
+        k, found = _next_entry(g, j, q2, q3)
+        span = ts[np.minimum(k, top)] - t
+        keep = np.flatnonzero(found & (span <= last))
+        yield span.take(keep), g.pair_eid.take(i.take(keep))
 
 
 def _fold(table: np.ndarray, g: TemporalGraph, windows: np.ndarray, span: np.ndarray, eid: np.ndarray) -> None:
@@ -308,17 +315,16 @@ def _in_ranges(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) 
     the window, so each range is kept once, as (floor, hi, t3).
     """
     r = len(g.t_distinct)
-    comp, start, ts = g.pair_comp, g.pair_start, g.pair_ts
+    comp, start, ts, top = g.pair_comp, g.pair_start, g.pair_ts.view(np.uint64), g.m - 1
     for i, q2, q3, pt in _expand(g, ordering, ((1, 3), (3, 1), (4, 5))):
-        k, hit = _next_entry(g, i, q2, q3)
+        k, found = _next_entry(g, i, q2, q3)
+        t3 = ts[np.minimum(k, top)]
         head = i == start[q2]
         # An entry at the time of the one before it has an empty range.
-        hit &= head | (comp[i - 1] != comp[i])
-        i, k, head, q2, pt = i[hit], k[hit], head[hit], q2[hit], pt[hit]
-        hit = ts[k].view(np.uint64) - ts[i].view(np.uint64) <= last
-        i, t3, head, base = i[hit], ts[k[hit]], head[hit], pt[hit] * r
-        shift = base - q2[hit] * r + 1
-        yield np.where(head, base, comp[i - 1] + shift), comp[i] + shift, t3
+        keep = np.flatnonzero(found & (head | (comp[i - 1] != comp[i])) & (t3 - ts[i] <= last))
+        i, t3, head, q2, base = i.take(keep), t3.take(keep), head.take(keep), q2.take(keep), pt.take(keep) * r
+        shift = base - q2 * r + 1
+        yield np.where(head, base, comp[i - 1] + shift), comp[i] + shift, t3.view(np.int64)
 
 
 def _fold_ranges(

@@ -16,7 +16,7 @@ import pytest
 import folty.engine
 import folty.graph
 from conftest import random_temporal_graph, require_dataset
-from folty.engine import compute_counts
+from folty.engine import compute_counts, oriented_triangles
 from folty.graph import (
     TemporalGraph,
     _closed_wedges,
@@ -290,6 +290,71 @@ def test_criterion_5_expansion_bound(monkeypatch):
         sides.append(tuple(expanded))
     assert all(out and into for out, into in sides[:4])  # the cores expand on both sides
     _passed("criterion 5: each side expands at most 2 * alpha * m list entries")
+
+
+def _cut_survivors(g, static, ordering, last):
+    """Brute force over g.pair lists: the out side's L1 entries at t whose
+    first L2 entry at or after t exists and lies within last of t, over
+    each triangle's four (L1, L2, L3) jobs whose three lists are all
+    non-empty."""
+    total = 0
+    for a, b, cs in oriented_triangles(static, ordering):
+        for c in cs:
+            for l1, l2, l3 in (((a, b), (a, c), (b, c)), ((b, a), (b, c), (a, c)),
+                               ((a, c), (a, b), (c, b)), ((c, a), (c, b), (a, b))):
+                t1s, t2s = g.pair(*l1)[1], g.pair(*l2)[1]
+                if not g.sigma(*l3):
+                    continue
+                for t in t1s:
+                    j = bisect_left(t2s, t)
+                    total += j < len(t2s) and t2s[j] - t <= last
+    return total
+
+
+def test_criterion_5_out_cut_before_second_lookup(monkeypatch):
+    """The out side looks up an L1 entry's L3 entry only when its L2 entry
+    lies within the largest window: the second lookup's keys equal a brute
+    force count over the pair lists, on the criterion-5 cores, the hub
+    target pair and random graphs. The in side still makes one lookup per
+    L2 entry it expands."""
+    expanded, looked, kept = [], [], []
+    expand, next_entry = folty.engine._expand, folty.engine._next_entry
+
+    def counting_expand(g, ordering, lists):
+        for part in expand(g, ordering, lists):
+            expanded.append(len(part[0]))
+            yield part
+
+    def counting_lookup(g, i, qa, qb):
+        j, found = next_entry(g, i, qa, qb)
+        looked.append(len(i))
+        kept.append(int(found.sum()))
+        return j, found
+
+    monkeypatch.setattr(folty.engine, "_expand", counting_expand)
+    monkeypatch.setattr(folty.engine, "_next_entry", counting_lookup)
+    rng = random.Random(0x5EED_08)
+    graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
+    graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
+    graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
+    cut = 0
+    for g in graphs:
+        static = build_static(g)
+        ordering = degeneracy_order(static)
+        for deltas in ([0], [3, 40], [2_000]):
+            windows = folty.engine._windows(g, deltas)
+            for counts in (expanded, looked, kept):
+                counts.clear()
+            folty.engine._counts(g, ordering, windows, folty.engine._out_hits, folty.engine._fold)
+            assert looked[0::2] == expanded
+            assert sum(looked[1::2]) == _cut_survivors(g, static, ordering, int(windows[-1])), deltas
+            cut += sum(kept[0::2]) - sum(looked[1::2])
+            expanded.clear()
+            looked.clear()
+            folty.engine._counts(g, ordering, windows, folty.engine._in_ranges, folty.engine._fold_ranges)
+            assert looked == expanded
+    assert cut  # the window drops chains before their second lookup
+    _passed("criterion 5: the out side's second lookup runs only on chains within the window")
 
 
 def test_criterion_5_wedge_lookup_bound(monkeypatch):

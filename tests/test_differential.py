@@ -525,6 +525,100 @@ def test_out_side_folds_hold_at_most_key_cap(monkeypatch, windows):
         assert table.totals() == oracle_counts(g, delta, static).count, delta
 
 
+# -- the out side's window cut -------------------------------------------------
+
+
+def record_lookups(monkeypatch):
+    """Wrap the engine's _next_entry; each call appends (keys, index,
+    found) to the returned list."""
+    calls = []
+    next_entry = folty.engine._next_entry
+
+    def recording(g, i, qa, qb):
+        j, found = next_entry(g, i, qa, qb)
+        calls.append((len(i), j, found))
+        return j, found
+
+    monkeypatch.setattr(folty.engine, "_next_entry", recording)
+    return calls
+
+
+def assert_out_side_agrees(g, deltas):
+    """Per delta, out_counts plus in_counts gives the oracle's and the
+    practical engine's totals, and out_counts gives compute_counts' out
+    side."""
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    windows = folty.engine._windows(g, deltas)
+    out, into = out_counts(g, ordering, windows), in_counts(g, ordering, windows)
+    for delta in deltas:
+        row = np.searchsorted(windows, folty.engine._window(g, delta))
+        want = oracle_counts(g, delta, static).count
+        assert (out[row] + into[row]).tolist() == want == practical_counts(g, static, delta), delta
+        assert np.array_equal(out[row], compute_counts(g, delta, static, ordering).out_array), delta
+    return out
+
+
+#: Every directed pair on 1, 2, 3 at times 0, 2 and 5, except 3 -> 2, the
+#: last pair in pair order, at 0 and 1 only. A job with 3 -> 2 as L2 looks
+#: up its L1 entries at 2 and 5 past the last entry (j == m), and one with
+#: it as L3 its L2 entries at 2 and 5 (k == m).
+PAST_LAST = [(3, 2, 0), (3, 2, 1)] + [(x, y, t) for x in (1, 2, 3) for y in (1, 2, 3) if x != y and (x, y) != (3, 2) for t in (0, 2, 5)]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_out_cut_lookup_past_last_entry(monkeypatch, block):
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    g = TemporalGraph.from_edges(PAST_LAST)
+    ordering = degeneracy_order(build_static(g))
+    calls = record_lookups(monkeypatch)
+    out_counts(g, ordering, folty.engine._windows(g, [10]))
+    assert any((j == g.m).any() for _, j, _ in calls[0::2])  # first lookups
+    assert any((k == g.m).any() for _, k, _ in calls[1::2])  # second lookups
+    assert_out_side_agrees(g, (0, 1, 2, 3, 5, 10**30))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_out_cut_keeps_equal_times_at_delta_zero(monkeypatch, block):
+    """At delta 0 the cut keeps an L2 entry at the L1 entry's own time."""
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    rng = random.Random(0xD210 + block)
+    same_time = [(x, y, 7) for x in range(4) for y in range(4) if x != y]
+    for edges in (PAST_LAST, same_time):
+        assert assert_out_side_agrees(TemporalGraph.from_edges(edges), (0, 1, 10**30))[0].any()
+    for _ in range(8):
+        g = TemporalGraph.from_edges(random_edges(rng, rng.randint(3, 7), rng.randint(10, 80), [0, 0, 1, 3]))
+        assert_out_side_agrees(g, (0, 1, 10**30))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_out_cut_int64_extremes(monkeypatch, block):
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    rng = random.Random(0xD211 + block)
+    edge_ts = [I64_MIN, I64_MIN, I64_MIN + 1, -1, 0, I64_MAX - 1, I64_MAX, I64_MAX]
+    for _ in range(15):
+        g = TemporalGraph.from_edges(random_edges(rng, rng.randint(3, 6), rng.randint(6, 50), edge_ts))
+        assert_out_side_agrees(g, (0, 1, 2**63, 2**64 - 2, 2**64 - 1, 10**30))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_out_cut_drops_nothing_at_full_span(monkeypatch, block):
+    """With a window at or above the timestamp span, every chain that
+    finds its L2 entry goes on to the second lookup."""
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    rng = random.Random(0xD212 + block)
+    calls = record_lookups(monkeypatch)
+    for _ in range(8):
+        g = TemporalGraph.from_edges(random_edges(rng, rng.randint(3, 8), rng.randint(10, 100), list(range(40))))
+        ordering = degeneracy_order(build_static(g))
+        span = int(g.t_distinct[-1] - g.t_distinct[0])
+        for delta in (span, span + 1, 10**30):
+            calls.clear()
+            out_counts(g, ordering, folty.engine._windows(g, [delta]))
+            assert [keys for keys, _, _ in calls[1::2]] == [int(found.sum()) for _, _, found in calls[0::2]]
+        assert_out_side_agrees(g, (span, span + 1, 10**30))
+
+
 def test_count_table_arrays_and_lazy_lists():
     table = CountTable([1, 0], [2, 3], 5)
     assert table.totals() == [3, 3] and table.totals() is table.totals()
