@@ -26,19 +26,28 @@ of x -> y and y -> x are found once per (graph, ordering) for each entry
 x -> y that a triangle uses (TemporalGraph.entry_pairs), so a triangle's
 six directed pair ids are gathers by its entries. One generator (_expand)
 serves both passes: it slices the entry columns BLOCK triangles at a time
-into jobs and expands each job's first list in blocks of about BLOCK
-entries through _blocks and _entries, which the triangle listing uses too;
-the graph layer's BLOCK, read at call time, bounds the temporaries of both
-layers. _next_entry is the one chained lookup: the out side calls it twice
-per entry, the in side once. KEY_CAP bounds the hits or ranges collected
-before a fold credits them (_capped). Window checks compare t3 - t as an
-unsigned 64-bit difference, so timestamps at the int64 extremes and any
-delta are exact.
+into jobs and expands one list of each job (the out side's L1, the in
+side's L2) in blocks of about BLOCK entries through _blocks and _entries,
+which the triangle listing uses too; the graph layer's BLOCK, read at call
+time, bounds the temporaries of both layers. _next_entry is the one chained
+lookup: the out side calls it at most twice per entry, the in side once.
+KEY_CAP bounds the hits or ranges collected before a fold credits them
+(_capped). Window checks compare a later time minus an earlier one as an
+unsigned 64-bit difference, read only where it is not negative, so
+timestamps at the int64 extremes and any delta are exact.
 
 The chains themselves do not depend on delta: only the window checks do,
-and until the fold they use only the largest window. Since t3 >= t2, the
-out side cuts a chain whose L2 entry is already past that window after its
-first lookup, before the second; the final check drops the chains that close
+and until the fold they use only the largest window. The first ones come
+before any lookup and judge lists by each pair's first and last timestamp
+alone (two gathers per count call): both sides' jobs have the same shape,
+a credited list C, then L2 and L3, and a chain t <= t2 <= t3 <= t + d needs
+each earlier list to start no later than each later one ends, and each later
+one to start within d of each earlier one's end (_may_close). _expand
+drops the jobs that fail this before it expands them, and the out side drops
+each L1 entry that fails it, with the entry's time as C, before its first
+lookup, which therefore always finds an entry. Since t3 >= t2, the out side
+then cuts a chain whose L2 entry is already past the window after its first
+lookup, before the second; the final check drops the chains that close
 outside it. So one expansion serves every delta of a sweep (count_tables),
 and one driver (_counts) folds either side's parts into its (window, edge)
 table.
@@ -171,17 +180,25 @@ def _minus(t: np.ndarray, d: np.uint64) -> np.ndarray:
 
 
 def _expand(
-    g: TemporalGraph, ordering: DegeneracyOrdering, lists: tuple[tuple[int, ...], ...]
+    g: TemporalGraph,
+    ordering: DegeneracyOrdering,
+    lists: tuple[tuple[int, ...], ...],
+    expanded: int,
+    bounds: tuple[np.ndarray, np.ndarray],
+    last: np.uint64,
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield (i, *q): the entries i of jobs' first lists, about
-    graph.BLOCK at a time, and per entry its job's pair ids, one per row
-    of `lists`.
+    """Yield (i, c, l2, l3): the entries i of the jobs' lists in row
+    `expanded` of `lists`, about graph.BLOCK at a time, and per entry its
+    job's credited pair c and pairs l2 and l3.
 
     Every triangle gives the same jobs, graph.BLOCK triangles at a time:
-    list j of each is row j of `lists`, read as indices into the
-    triangle's directed pairs (ab, ba, ac, ca, bc, cb). Each pair id is a
-    gather from g.entry_pairs by the triangle's orientation entries; jobs
-    with an absent pair (-1) are dropped.
+    the lists c, l2 and l3 of each are rows 0, 1 and 2 of `lists`, read as
+    indices into the triangle's directed pairs (ab, ba, ac, ca, bc, cb).
+    Each pair id is a gather from g.entry_pairs by the triangle's
+    orientation entries. Jobs with an absent pair (-1) are dropped, and so
+    are the jobs whose pairs' first and last times (`bounds`, each indexed
+    by pair id) leave no room for a chain within the window `last`
+    (_may_close).
     """
     fwd, bwd = g.entry_pairs(ordering)
     entries = ordering.triangle_entries()
@@ -190,18 +207,42 @@ def _expand(
         ab, ac, bc = (column[lo : lo + block] for column in entries)
         jobs = np.stack((fwd[ab], bwd[ab], fwd[ac], bwd[ac], fwd[bc], bwd[bc]))[np.array(lists)].reshape(len(lists), -1)
         jobs = jobs.compress((jobs >= 0).all(axis=0), axis=1)
-        for rows in _blocks(start, jobs[0]):
-            i, job = _entries(start, jobs[0, rows])
+        jobs = jobs.compress(_may_close(jobs, bounds, last), axis=1)
+        for rows in _blocks(start, jobs[expanded]):
+            i, job = _entries(start, jobs[expanded, rows])
             yield (i, *jobs[:, rows].take(job, axis=1))
 
 
-def _next_entry(g: TemporalGraph, i: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fits(f1: np.ndarray, l1: np.ndarray, f2: np.ndarray, l2: np.ndarray, last: np.uint64) -> np.ndarray:
+    """Whether lists that start at f1 and f2 and end at l1 and l2 can hold
+    t1 <= t2 <= t1 + last: the first starts no later than the second ends,
+    and the second starts within last of the first's end. f2 - l1 is a
+    uint64 difference, read only where f2 > l1, where it is exact."""
+    return (f1 <= l2) & ((f2 <= l1) | (f2.view(np.uint64) - l1.view(np.uint64) <= last))
+
+
+def _may_close(jobs: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], last: np.uint64) -> np.ndarray:
+    """Whether jobs whose lists C, L2 and L3 are the rows of `jobs` can hold
+    a chain t <= t2 <= t3 <= t + last: each earlier list fits each later
+    one (_fits), by the lists' first and last times (`bounds`). Since
+    t3 - t2 <= t3 - t, one window serves all three pairs. The times are
+    gathered one pair of lists at a time, so that no more than four rows of
+    them are held at once."""
+    first, final = bounds
+    keep = np.ones(jobs.shape[1], dtype=bool)
+    for early, late in ((0, 1), (0, 2), (1, 2)):
+        x, y = jobs[early], jobs[late]
+        keep &= _fits(first[x], final[x], first[y], final[y], last)
+    return keep
+
+
+def _next_entry(g: TemporalGraph, i: np.ndarray, qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
     """For entries i of pairs qa: the first entry of pair qb at or after
-    each one's time, and whether it exists. When it does not, the index is
-    past qb's list: the next pair's first entry, or m when qb is the last
-    pair, so a gather by it must be clamped."""
-    j = np.searchsorted(g.pair_comp, g.pair_comp[i] + (qb - qa) * len(g.t_distinct))
-    return j, j < g.pair_start[qb + 1]
+    each one's time. Where qb has none, the index is past qb's list (it is
+    below g.pair_start[qb + 1] exactly when the entry exists): the next
+    pair's first entry, or m when qb is the last pair, so a gather by it
+    must be clamped."""
+    return np.searchsorted(g.pair_comp, g.pair_comp[i] + (qb - qa) * len(g.t_distinct))
 
 
 def _capped(parts: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
@@ -237,16 +278,20 @@ def _counts(
 ) -> np.ndarray:
     """One side's counts for each of one or more ascending uint64 windows,
     as an int64 array of shape (len(windows), m): the parts that side
-    collects within the last window (_out_hits or _in_ranges), folded into
-    the table at most KEY_CAP at a time (_capped) by fold(table, g,
-    windows, *part) (_fold or _fold_ranges)."""
+    collects within the last window (_out_hits or _in_ranges), given each
+    pair's first and last timestamp, folded into the table at most KEY_CAP
+    at a time (_capped) by fold(table, g, windows, *part) (_fold or
+    _fold_ranges)."""
     table = np.zeros((len(windows), g.m), dtype=np.int64)
-    for part in _capped(parts(g, ordering, windows[-1])):
+    bounds = g.pair_ts[g.pair_start[:-1]], g.pair_ts[g.pair_start[1:] - 1]
+    for part in _capped(parts(g, ordering, bounds, windows[-1])):
         fold(table, g, windows, *part)
     return table
 
 
-def _out_hits(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _out_hits(
+    g: TemporalGraph, ordering: DegeneracyOrdering, bounds: tuple[np.ndarray, np.ndarray], last: np.uint64
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(span, eid) per block: the out side's hits within the window `last`.
 
     Each triangle (a, b, c) gives four (L1, L2, L3) jobs: pair {a, b} with
@@ -254,19 +299,27 @@ def _out_hits(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -
     with witness b as (E_ac, E_ab, E_cb) and (E_ca, E_cb, E_ab). An L1 edge at
     t is credited iff the first L2 entry at or after t, then the first L3
     entry at or after that, exist and the latter is within the window of t.
-    Since t3 >= t2, a chain whose L2 entry is past `last` cannot close, so
-    it is cut before the second lookup. No other step depends on the
-    window, so each hit is collected once, with its span t3 - t.
+    L1 is the credited list, so _expand drops the jobs whose lists cannot
+    close within `last`, and each L1 entry at t is dropped before the first
+    lookup unless t fits L2 and L3 by their first and last times
+    (_fits). The kept entries have t <= the last time of L2, so their first
+    lookup always finds an entry. Since t3 >= t2, a chain whose L2 entry is
+    past `last` cannot close, so it is cut before the second lookup. No
+    other step depends on the window, so each hit is collected once, with
+    its span t3 - t.
     """
+    first, final = bounds
     ts, top = g.pair_ts.view(np.uint64), g.m - 1
-    for i, q1, q2, q3 in _expand(g, ordering, ((0, 1, 2, 3), (2, 4, 0, 5), (4, 2, 5, 0))):
-        j, found = _next_entry(g, i, q1, q2)
-        t = ts[i]
-        keep = np.flatnonzero(found & (ts[np.minimum(j, top)] - t <= last))
+    for i, q1, q2, q3 in _expand(g, ordering, ((0, 1, 2, 3), (2, 4, 0, 5), (4, 2, 5, 0)), 0, bounds, last):
+        t = g.pair_ts[i]
+        keep = np.flatnonzero(_fits(t, t, first[q2], final[q2], last) & _fits(t, t, first[q3], final[q3], last))
+        i, q1, q2, q3, t = (a.take(keep) for a in (i, q1, q2, q3, t.view(np.uint64)))
+        j = _next_entry(g, i, q1, q2)
+        keep = np.flatnonzero(ts[j] - t <= last)
         i, j, q2, q3, t = (a.take(keep) for a in (i, j, q2, q3, t))
-        k, found = _next_entry(g, j, q2, q3)
+        k = _next_entry(g, j, q2, q3)
         span = ts[np.minimum(k, top)] - t
-        keep = np.flatnonzero(found & (span <= last))
+        keep = np.flatnonzero((k < g.pair_start[q3 + 1]) & (span <= last))
         yield span.take(keep), g.pair_eid.take(i.take(keep))
 
 
@@ -295,18 +348,22 @@ def in_pass(
     return _counts(g, ordering, _windows(g, [delta]), _in_ranges, _fold_ranges)[0]
 
 
-def _in_ranges(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) -> Iterator[tuple[np.ndarray, ...]]:
+def _in_ranges(
+    g: TemporalGraph, ordering: DegeneracyOrdering, bounds: tuple[np.ndarray, np.ndarray], last: np.uint64
+) -> Iterator[tuple[np.ndarray, ...]]:
     """(floor, hi, t3) per block: the in side's ranges that the window
     `last` does not empty.
 
     Each triangle (a, b, c) gives the target pair (b, c) the witness a, with
     L2 = E_ba and L3 = E_ca, and the target (c, b) the same with the lists
-    swapped. The first L3 entry at or after an L2 entry f, at t3, gets no
-    earlier as f moves later. So a target edge at t has the witness iff the
-    first f at or after t, the one with t(prev f) < t <= t(f), has
-    t3 - d <= t: each f credits its own range of target times, (t(prev f),
-    t(f)] cut below at t3 - d. One job's ranges are disjoint, and an f at
-    the time of the entry before it in L2 has an empty one.
+    swapped. The target pair is the credited list, so _expand drops the
+    jobs whose lists cannot close within `last`. The first L3 entry at or
+    after an L2 entry f, at t3, gets no earlier as f moves later. So a
+    target edge at t has the witness iff the first f at or after t, the one
+    with t(prev f) < t <= t(f), has t3 - d <= t: each f credits its own
+    range of target times, (t(prev f), t(f)] cut below at t3 - d. One job's
+    ranges are disjoint, and an f at the time of the entry before it in L2
+    has an empty one.
 
     A range is [lo, hi) in the key space of pair_comp, offset to the target
     pair: hi is the key of f plus one, and lo the larger of floor (the key
@@ -316,12 +373,12 @@ def _in_ranges(g: TemporalGraph, ordering: DegeneracyOrdering, last: np.uint64) 
     """
     r = len(g.t_distinct)
     comp, start, ts, top = g.pair_comp, g.pair_start, g.pair_ts.view(np.uint64), g.m - 1
-    for i, q2, q3, pt in _expand(g, ordering, ((1, 3), (3, 1), (4, 5))):
-        k, found = _next_entry(g, i, q2, q3)
+    for i, pt, q2, q3 in _expand(g, ordering, ((4, 5), (1, 3), (3, 1)), 1, bounds, last):
+        k = _next_entry(g, i, q2, q3)
         t3 = ts[np.minimum(k, top)]
         head = i == start[q2]
         # An entry at the time of the one before it has an empty range.
-        keep = np.flatnonzero(found & (head | (comp[i - 1] != comp[i])) & (t3 - ts[i] <= last))
+        keep = np.flatnonzero((k < start[q3 + 1]) & (head | (comp[i - 1] != comp[i])) & (t3 - ts[i] <= last))
         i, t3, head, q2, base = i.take(keep), t3.take(keep), head.take(keep), q2.take(keep), pt.take(keep) * r
         shift = base - q2 * r + 1
         yield np.where(head, base, comp[i - 1] + shift), comp[i] + shift, t3.view(np.int64)

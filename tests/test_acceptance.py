@@ -257,6 +257,17 @@ def test_criterion_5_complexity_scaling():
     )
 
 
+def _bound_graphs(rng):
+    """The criterion-5 cores (alpha 2, 4, 8 and 16), a hub target pair, a
+    star with chords, and 20 random multigraphs."""
+    graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
+    graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
+    star = [(0, leaf, t) if rng.random() < 0.5 else (leaf, 0, t) for leaf in range(1, 200) for t in range(rng.randint(1, 5))]
+    graphs.append(TemporalGraph.from_edges(star + [(leaf, leaf + 1, 7) for leaf in range(1, 199, 3)]))
+    graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
+    return graphs
+
+
 def test_criterion_5_expansion_bound(monkeypatch):
     """The work behind the O(m alpha log sigma_max) bound, counted without
     a clock: an oriented edge a -> b is the ab edge of at most outdeg(a) <=
@@ -267,19 +278,14 @@ def test_criterion_5_expansion_bound(monkeypatch):
     expanded = []
     expand = folty.engine._expand
 
-    def counting(g, ordering, lists):
+    def counting(g, ordering, *args):
         expanded.append(0)
-        for part in expand(g, ordering, lists):
+        for part in expand(g, ordering, *args):
             expanded[-1] += len(part[0])
             yield part
 
     monkeypatch.setattr(folty.engine, "_expand", counting)
-    rng = random.Random(0x5EED_06)
-    graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
-    graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
-    star = [(0, leaf, t) if rng.random() < 0.5 else (leaf, 0, t) for leaf in range(1, 200) for t in range(rng.randint(1, 5))]
-    graphs.append(TemporalGraph.from_edges(star + [(leaf, leaf + 1, 7) for leaf in range(1, 199, 3)]))
-    graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
+    graphs = _bound_graphs(random.Random(0x5EED_06))
     sides = []
     for g in graphs:
         static = build_static(g)
@@ -292,44 +298,109 @@ def test_criterion_5_expansion_bound(monkeypatch):
     _passed("criterion 5: each side expands at most 2 * alpha * m list entries")
 
 
-def _cut_survivors(g, static, ordering, last):
-    """Brute force over g.pair lists: the out side's L1 entries at t whose
-    first L2 entry at or after t exists and lies within last of t, over
-    each triangle's four (L1, L2, L3) jobs whose three lists are all
-    non-empty."""
-    total = 0
+def _fits(early, late, last):
+    """Whether sorted timestamp lists early and late can hold t1 <= t2 <=
+    t1 + last, judged by their first and last times only."""
+    return early[0] <= late[-1] and late[0] - early[-1] <= last
+
+
+def _jobs(g, static, ordering, side):
+    """Brute force over g.pair lists: the (C, L2, L3) timestamp lists of
+    each triangle's out-side jobs (four, C = L1) or in-side jobs (two, C
+    = the target pair), whose three lists are all non-empty."""
+    jobs = []
     for a, b, cs in oriented_triangles(static, ordering):
         for c in cs:
-            for l1, l2, l3 in (((a, b), (a, c), (b, c)), ((b, a), (b, c), (a, c)),
-                               ((a, c), (a, b), (c, b)), ((c, a), (c, b), (a, b))):
-                t1s, t2s = g.pair(*l1)[1], g.pair(*l2)[1]
-                if not g.sigma(*l3):
-                    continue
-                for t in t1s:
-                    j = bisect_left(t2s, t)
-                    total += j < len(t2s) and t2s[j] - t <= last
-    return total
+            if side == "out":
+                chains = (((a, b), (a, c), (b, c)), ((b, a), (b, c), (a, c)),
+                          ((a, c), (a, b), (c, b)), ((c, a), (c, b), (a, b)))
+            else:
+                chains = (((b, c), (b, a), (c, a)), ((c, b), (c, a), (b, a)))
+            lists = [tuple(g.pair(*p)[1] for p in chain) for chain in chains]
+            jobs += [job for job in lists if all(job)]
+    return jobs
+
+
+def _may_close(c, l2, l3, last):
+    """The window test of a job's lists: each earlier list fits each later
+    one."""
+    return _fits(c, l2, last) and _fits(c, l3, last) and _fits(l2, l3, last)
+
+
+def _out_survivors(jobs, last):
+    """Brute force over the out side's jobs (_jobs) that pass the window
+    test: the L1 entries expanded, the entries at t that fit L2 and L3
+    (each one's first lookup), and those whose first L2 entry at or after
+    t lies within last of t (each one's second lookup)."""
+    expanded = first = second = 0
+    for t1s, t2s, t3s in jobs:
+        if not _may_close(t1s, t2s, t3s, last):
+            continue
+        expanded += len(t1s)
+        for t in t1s:
+            if _fits([t], t2s, last) and _fits([t], t3s, last):
+                first += 1
+                second += t2s[bisect_left(t2s, t)] - t <= last
+    return expanded, first, second
+
+
+def test_criterion_5_jobs_pruned_by_window(monkeypatch):
+    """Each side expands exactly the jobs whose lists' first and last times
+    leave room for a chain within the largest window, counted without a
+    clock against a brute force over g.pair lists, on the graph shapes of
+    test_criterion_5_expansion_bound; on the criterion-5 cores that drops
+    jobs."""
+    jobs = []
+
+    def counting(*args):
+        keep = may_close(*args)
+        jobs.append((len(keep), int(keep.sum())))
+        return keep
+
+    may_close = folty.engine._may_close
+    monkeypatch.setattr(folty.engine, "_may_close", counting)
+    graphs = _bound_graphs(random.Random(0x5EED_06))
+    for n, g in enumerate(graphs):
+        static = build_static(g)
+        ordering = degeneracy_order(static)
+        sides = {side: _jobs(g, static, ordering, side) for side in ("out", "in")}
+        for deltas in ([0], [3, 40], [2_000]):
+            windows = folty.engine._windows(g, deltas)
+            last = int(windows[-1])
+            for side, parts, fold in (("out", folty.engine._out_hits, folty.engine._fold),
+                                      ("in", folty.engine._in_ranges, folty.engine._fold_ranges)):
+                every = sides[side]
+                kept = sum(_may_close(*job, last) for job in every)
+                jobs.clear()
+                folty.engine._counts(g, ordering, windows, parts, fold)
+                assert (sum(j for j, _ in jobs), sum(k for _, k in jobs)) == (len(every), kept), (n, side, deltas)
+                if n < 4:  # the cores
+                    assert kept < len(every), (n, side, deltas)
+    _passed("criterion 5: each side expands only the jobs that can close within the window")
 
 
 def test_criterion_5_out_cut_before_second_lookup(monkeypatch):
-    """The out side looks up an L1 entry's L3 entry only when its L2 entry
-    lies within the largest window: the second lookup's keys equal a brute
-    force count over the pair lists, on the criterion-5 cores, the hub
-    target pair and random graphs. The in side still makes one lookup per
-    L2 entry it expands."""
-    expanded, looked, kept = [], [], []
+    """The out side drops an L1 entry before its first lookup unless it
+    fits L2 and L3 by their first and last times, and looks up its L3
+    entry only when its L2 entry lies within the largest window: the
+    entries expanded and both lookups' keys equal a brute force count over
+    the pair lists, on the criterion-5 cores, the hub target pair and
+    random graphs. Every first lookup finds an entry. The in side expands
+    the L2 lists of the jobs that pass the window test and still makes one
+    lookup per L2 entry it expands."""
+    expanded, looked, found = [], [], []
     expand, next_entry = folty.engine._expand, folty.engine._next_entry
 
-    def counting_expand(g, ordering, lists):
-        for part in expand(g, ordering, lists):
+    def counting_expand(g, ordering, *args):
+        for part in expand(g, ordering, *args):
             expanded.append(len(part[0]))
             yield part
 
     def counting_lookup(g, i, qa, qb):
-        j, found = next_entry(g, i, qa, qb)
+        j = next_entry(g, i, qa, qb)
         looked.append(len(i))
-        kept.append(int(found.sum()))
-        return j, found
+        found.append(int((j < g.pair_start[qb + 1]).sum()))
+        return j
 
     monkeypatch.setattr(folty.engine, "_expand", counting_expand)
     monkeypatch.setattr(folty.engine, "_next_entry", counting_lookup)
@@ -337,24 +408,29 @@ def test_criterion_5_out_cut_before_second_lookup(monkeypatch):
     graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
     graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
     graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
-    cut = 0
+    dropped = cut = 0
     for g in graphs:
         static = build_static(g)
         ordering = degeneracy_order(static)
+        out_jobs, in_jobs = (_jobs(g, static, ordering, side) for side in ("out", "in"))
         for deltas in ([0], [3, 40], [2_000]):
             windows = folty.engine._windows(g, deltas)
-            for counts in (expanded, looked, kept):
+            for counts in (expanded, looked, found):
                 counts.clear()
+            last = int(windows[-1])
             folty.engine._counts(g, ordering, windows, folty.engine._out_hits, folty.engine._fold)
-            assert looked[0::2] == expanded
-            assert sum(looked[1::2]) == _cut_survivors(g, static, ordering, int(windows[-1])), deltas
-            cut += sum(kept[0::2]) - sum(looked[1::2])
+            want = _out_survivors(out_jobs, last)
+            assert (sum(expanded), sum(looked[0::2]), sum(looked[1::2])) == want, deltas
+            assert found[0::2] == looked[0::2]
+            dropped += want[0] - want[1]
+            cut += want[1] - want[2]
             expanded.clear()
             looked.clear()
             folty.engine._counts(g, ordering, windows, folty.engine._in_ranges, folty.engine._fold_ranges)
             assert looked == expanded
-    assert cut  # the window drops chains before their second lookup
-    _passed("criterion 5: the out side's second lookup runs only on chains within the window")
+            assert sum(expanded) == sum(len(l2) for c, l2, l3 in in_jobs if _may_close(c, l2, l3, last))
+    assert dropped and cut  # entries go before the first lookup, chains before the second
+    _passed("criterion 5: the out side looks up only the entries and chains that fit the window")
 
 
 def test_criterion_5_wedge_lookup_bound(monkeypatch):
@@ -370,12 +446,7 @@ def test_criterion_5_wedge_lookup_bound(monkeypatch):
         return find(keys, q)
 
     monkeypatch.setattr(folty.graph, "_find", counting)
-    rng = random.Random(0x5EED_07)
-    graphs = [TemporalGraph.from_edges(_random_core_graph(rng, 24_000, k, t_hi=10_000)) for k in (2, 4, 8, 16)]
-    graphs.append(TemporalGraph.from_edges(hub_edges(random.Random(0xD200), 2000, 300, 500)))
-    star = [(0, leaf, t) if rng.random() < 0.5 else (leaf, 0, t) for leaf in range(1, 200) for t in range(rng.randint(1, 5))]
-    graphs.append(TemporalGraph.from_edges(star + [(leaf, leaf + 1, 7) for leaf in range(1, 199, 3)]))
-    graphs += [random_temporal_graph(rng, max_vertices=20, max_edges=600, t_hi=50, max_mult=8) for _ in range(20)]
+    graphs = _bound_graphs(random.Random(0x5EED_07))
     lookups = []
     for g in graphs:
         o = degeneracy_order(build_static(g))

@@ -3,6 +3,7 @@ equal per-edge counts, and the array thresholds give the oracle's solution
 sets, on the shapes that fixed-width integer arithmetic and blocked
 vectorization put at risk."""
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -530,14 +531,15 @@ def test_out_side_folds_hold_at_most_key_cap(monkeypatch, windows):
 
 def record_lookups(monkeypatch):
     """Wrap the engine's _next_entry; each call appends (keys, index,
-    found) to the returned list."""
+    found) to the returned list, where found tells whether the index is an
+    entry of the looked-up pair."""
     calls = []
     next_entry = folty.engine._next_entry
 
     def recording(g, i, qa, qb):
-        j, found = next_entry(g, i, qa, qb)
-        calls.append((len(i), j, found))
-        return j, found
+        j = next_entry(g, i, qa, qb)
+        calls.append((len(i), j, j < g.pair_start[qb + 1]))
+        return j
 
     monkeypatch.setattr(folty.engine, "_next_entry", recording)
     return calls
@@ -559,21 +561,26 @@ def assert_out_side_agrees(g, deltas):
     return out
 
 
-#: Every directed pair on 1, 2, 3 at times 0, 2 and 5, except 3 -> 2, the
-#: last pair in pair order, at 0 and 1 only. A job with 3 -> 2 as L2 looks
-#: up its L1 entries at 2 and 5 past the last entry (j == m), and one with
-#: it as L3 its L2 entries at 2 and 5 (k == m).
-PAST_LAST = [(3, 2, 0), (3, 2, 1)] + [(x, y, t) for x in (1, 2, 3) for y in (1, 2, 3) if x != y and (x, y) != (3, 2) for t in (0, 2, 5)]
+#: Every directed pair on 1, 2, 3 at times 0, 2 and 5, except 1 -> 2 at 0
+#: and 5, 1 -> 3 at 1, and 3 -> 2, the last pair in pair order, at 0 and 2.
+#: The chain of 1 -> 3 with witness 2 (L1 = E_13, L2 = E_12, L3 = E_32)
+#: keeps its L1 entry at 1, which fits both lists by their first and last
+#: times, finds its L2 entry at 5 and looks past the last entry for an L3
+#: entry at or after 5 (k == m).
+PAST_LAST = [(3, 2, 0), (3, 2, 2), (1, 3, 1), (1, 2, 0), (1, 2, 5)]
+PAST_LAST += [(x, y, t) for x, y in ((2, 1), (3, 1), (2, 3)) for t in (0, 2, 5)]
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_out_cut_lookup_past_last_entry(monkeypatch, block):
+    """Only a second lookup reads past its pair's list: every L1 entry kept
+    for the first lookup has t at or before L2's last time."""
     monkeypatch.setattr(folty.graph, "BLOCK", block)
     g = TemporalGraph.from_edges(PAST_LAST)
     ordering = degeneracy_order(build_static(g))
     calls = record_lookups(monkeypatch)
     out_counts(g, ordering, folty.engine._windows(g, [10]))
-    assert any((j == g.m).any() for _, j, _ in calls[0::2])  # first lookups
+    assert all(found.all() for _, _, found in calls[0::2])  # first lookups
     assert any((k == g.m).any() for _, k, _ in calls[1::2])  # second lookups
     assert_out_side_agrees(g, (0, 1, 2, 3, 5, 10**30))
 
@@ -617,6 +624,78 @@ def test_out_cut_drops_nothing_at_full_span(monkeypatch, block):
             out_counts(g, ordering, folty.engine._windows(g, [delta]))
             assert [keys for keys, _, _ in calls[1::2]] == [int(found.sum()) for _, _, found in calls[0::2]]
         assert_out_side_agrees(g, (span, span + 1, 10**30))
+
+
+# -- the jobs' window test ------------------------------------------------------
+
+
+def chain_graphs(c, l2, l3):
+    """The six graphs that give the chain of edge u -> v with witness w the
+    lists c = E_uv, l2 = E_uw and l3 = E_vw, and hold no other pair, one
+    per naming of 1, 2, 3 as (u, v, w). Each graph's one chain is a job of
+    the out side when the ordering's low vertex is u or v, and of the in
+    side when it is w, so the six give jobs to both."""
+    return [
+        TemporalGraph.from_edges([(u, v, t) for t in c] + [(u, w, t) for t in l2] + [(v, w, t) for t in l3])
+        for u, v, w in itertools.permutations((1, 2, 3))
+    ]
+
+
+#: (C, L2, L3, {delta: the chain's credited C entries}) on the bounds of the
+#: jobs' window test, each earlier list against each later one: the first
+#: against the last time, and the difference of the later start and the
+#: earlier end against the window.
+WINDOW_EDGES = {
+    "t-at-l2-last": ([3, 5], [0, 5], [5, 7], {0: 1, 1: 1, 2: 2}),
+    "l2-starts-at-window": ([0], [10], [10], {9: 0, 10: 1, 11: 1}),
+    "l3-starts-at-window": ([0], [8], [10], {9: 0, 10: 1, 11: 1}),
+    "l3-starts-at-window-per-entry": ([-5, 0], [0], [10], {9: 0, 10: 1, 14: 1, 15: 2}),
+    "l3-starts-at-window-after-l2-ends": ([2, 10], [2], [12], {1: 0, 9: 0, 10: 1}),
+    "delta-zero": ([7], [7], [7], {0: 1, 1: 1}),
+    "delta-zero-one-late": ([7], [7], [8], {0: 0, 1: 1}),
+    "l2-before-c-ends": ([0, 5], [3], [3], {2: 0, 3: 1}),
+    "l2-ends-at-c-start": ([5], [0, 5], [5], {0: 1}),
+    "extremes-l2-before-c-ends": ([I64_MIN, I64_MAX], [0], [0], {0: 0, 2**63 - 1: 0, 2**63: 1, 2**64 - 1: 1}),
+    "extremes-wrap-to-one": ([I64_MAX], [I64_MIN, I64_MAX], [I64_MIN, I64_MAX], {0: 1}),
+    "extremes-full-span": ([I64_MIN], [I64_MAX], [I64_MAX], {2**64 - 2: 0, 2**64 - 1: 1, 10**30: 1}),
+    "minus-one-to-zero": ([-1], [0], [0], {0: 0, 1: 1}),
+    "c-after-l3-ends": ([9], [9, 12], [4, 8], {0: 0, 10**30: 0}),
+    "l3-ends-before-l2-starts": ([0], [5], [1, 4], {10: 0, 10**30: 0}),
+    "only-largest-window": ([0], [4], [10], {0: 0, 5: 0, 10: 1}),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("case", sorted(WINDOW_EDGES))
+def test_job_window_boundaries(monkeypatch, block, case):
+    """Each case's deltas run as one multi-window call on both sides and
+    match the oracle and the practical engine; the chain's credits are the
+    case's, and both sides credit it."""
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    c, l2, l3, want = WINDOW_EDGES[case]
+    sides = set()
+    for g in chain_graphs(c, l2, l3):
+        assert_out_side_agrees(g, tuple(want))
+        for delta, credits in want.items():
+            table = compute_counts(g, delta)
+            assert sum(table.totals()) == credits, (delta, g.edge_lists)
+            sides |= {"out"} if table.out_array.any() else set()
+            sides |= {"in"} if table.in_array.any() else set()
+    assert sides == ({"out", "in"} if any(want.values()) else set())
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_job_window_single_entry_pairs(monkeypatch, block):
+    """Random graphs with at most one edge per directed pair, at boundary
+    timestamps and windows, on both sides."""
+    monkeypatch.setattr(folty.graph, "BLOCK", block)
+    rng = random.Random(0xD213 + block)
+    edge_ts = [I64_MIN, -1, 0, 3, 10, 13, I64_MAX]
+    for _ in range(12):
+        edges = {(u, v): t for u, v, t in random_edges(rng, rng.randint(3, 6), rng.randint(6, 30), edge_ts)}
+        g = TemporalGraph.from_edges([(u, v, t) for (u, v), t in edges.items()])
+        assert np.diff(g.pair_start).max() == 1
+        assert_out_side_agrees(g, (0, 3, 9, 10, 11, 2**63, 2**64 - 1))
 
 
 def test_count_table_arrays_and_lazy_lists():
