@@ -78,10 +78,6 @@ def parse_duration(text: str) -> int:
     return value * unit
 
 
-def _tau_fmt(tau: Fraction | None) -> str:
-    return "" if tau is None else str(tau)
-
-
 def _at_least(least: int, source: str):
     """An argparse type: an integer >= least, refused with a message that
     names its source. The engines run single-threaded, so --threads is
@@ -128,7 +124,7 @@ def run_query(
     """Execute one query and return its run report: a dict whose "solutions"
     entry is the query's SolutionSet, held as columns; _format_report writes
     it as JSON, CSV or text without building a row per solution."""
-    kind = validate_kind(kind)
+    kind = _checked_kind(kind, tau2)
     lap = _Laps()
     g, static, ordering = _load(path, lap)
     (table,) = _count_tables(g, static, ordering, [delta], engine, ceiling, lap)
@@ -137,14 +133,7 @@ def run_query(
     stats = graph_stats(g, static, ordering)
     lap("stats")
     return {
-        "query": {
-            "kind": kind,
-            "delta_s": delta,
-            "tau": _tau_fmt(tau),
-            "tau2": _tau_fmt(tau2),
-            "universe": universe.value,
-            "engine": engine,
-        },
+        "query": _echo(kind, delta, tau, tau2, universe, engine),
         "num_solutions": solset.total,
         "solutions": solset,
         "graph": {
@@ -192,13 +181,32 @@ def _count_tables(g, static, ordering, deltas, engine, ceiling, lap: _Laps) -> l
     return tables
 
 
+def _checked_kind(kind: str, tau2: Fraction | None) -> str:
+    """The validated kind; eaa without tau2 is refused before any work."""
+    kind = validate_kind(kind)
+    if kind == "eaa" and tau2 is None:
+        raise UsageError("eaa requires --tau1 and --tau2")
+    return kind
+
+
+def _echo(kind, delta, tau, tau2, universe, engine) -> dict:
+    """The query's fields as a report's query block and a sweep row's first
+    six columns give them: tau2 only for eaa, else ""."""
+    return {
+        "kind": kind,
+        "delta_s": delta,
+        "tau": str(tau),
+        "tau2": str(tau2) if kind == "eaa" else "",
+        "universe": universe.value,
+        "engine": engine,
+    }
+
+
 def _threshold(g, static, table, kind, tau, tau2, universe) -> SolutionSet:
     if kind == "eea":
         return eval_eea(g, static, table, tau, universe)
     if kind == "eae":
         return eval_eae(g, static, table, tau)
-    if tau2 is None:
-        raise UsageError("eaa requires --tau1 and --tau2")
     return eval_eaa(g, static, table, tau, tau2, universe)
 
 
@@ -223,7 +231,7 @@ def run_sweep(
     state that no tau changes is built on first use, so it is charged to the
     first row that needs it.
     """
-    kind = validate_kind(kind)
+    kind = _checked_kind(kind, tau2)
     if not deltas or not taus:
         raise UsageError("sweep grid is empty")
     g, static, ordering = _load(path)
@@ -240,18 +248,8 @@ def run_sweep(
             t0 = time.perf_counter()
             solset = _threshold(g, static, table, kind, tau, tau2, universe)
             elapsed = round((time.perf_counter() - t0) * 1000.0, 3)
-            rows.append(
-                {
-                    "kind": kind,
-                    "delta_s": delta,
-                    "tau": _tau_fmt(tau),
-                    "tau2": _tau_fmt(tau2) if kind == "eaa" else "",
-                    "universe": universe.value,
-                    "engine": engine,
-                    "num_solutions": solset.total,
-                    "elapsed_ms": elapsed,
-                }
-            )
+            row = _echo(kind, delta, tau, tau2, universe, engine)
+            rows.append({**row, "num_solutions": solset.total, "elapsed_ms": elapsed})
     return rows, {"count_runs": count_runs}
 
 

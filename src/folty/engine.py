@@ -60,6 +60,7 @@ single delta is the one-window case.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -160,12 +161,13 @@ def oriented_triangles(
 
 
 def _window(g: TemporalGraph, delta: int) -> int:
-    """delta clamped to the timestamp span: every larger window closes the
-    same triangles, and the span always fits in 64 bits unsigned."""
-    if delta < 0:
+    """The floor of delta clamped to the timestamp span: timestamps are
+    integers, so the floor closes the same triangles, and so does every
+    window larger than the span, which always fits in 64 bits unsigned."""
+    if not delta >= 0:  # NaN too
         raise ValueError("delta must be >= 0")
     span = int(g.t_distinct[-1]) - int(g.t_distinct[0]) if g.m else 0
-    return min(delta, span)
+    return math.floor(min(delta, span))
 
 
 def _windows(g: TemporalGraph, deltas: Iterable[int]) -> np.ndarray:
@@ -432,8 +434,7 @@ def count_tables(
     lap("out_pass")
     ins = _counts(g, ordering, windows, _in_ranges, _fold_ranges)
     lap("in_pass")
-    column = {int(w): j for j, w in enumerate(windows)}
-    picks = [column[_window(g, delta)] for delta in deltas]
+    picks = np.searchsorted(windows, np.array([_window(g, delta) for delta in deltas], dtype=np.uint64))
     return [CountTable(ins[j], outs[j], delta) for delta, j in zip(deltas, picks)]
 
 

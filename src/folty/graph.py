@@ -6,8 +6,9 @@ ids as non-negative integers and timestamps as signed 64-bit integers
 parse time. Parallel edges, including exact duplicate lines, are kept as
 distinct edges. Bytes and binary files are read by one np.fromstring call
 over the whole buffer, once exact array checks show that every line holds
-three plain integer fields or none; the line loop parses whatever those
-checks decline, so every ParseError names its line.
+three plain integer fields split by one space or tab; the line loop parses
+whatever those checks decline, comments and blank lines included, so every
+ParseError names its line.
 
 Every input reaches the graph arrays through one build, the TemporalGraph
 constructor: the array parse hands it int64 columns, and the line loop, a
@@ -290,25 +291,23 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     any order; '#' comment lines and blank lines are ignored; LF and CRLF
     both work. Malformed lines raise ParseError with the line number.
 
-    A binary file object is read whole and then parsed like bytes: without
-    its comment lines, by one np.fromstring call straight into int64
-    values, after checks that give the same answer as the line loop:
+    A binary file object is read whole and then parsed like bytes: by one
+    np.fromstring call straight into int64 values, after checks that give
+    the same answer as the line loop:
     - Fields split by one space or tab, lines ended by LF or CRLF: one
       bytes.translate that keeps only the separators shows every line holds
       three fields at most, and the value count shows it holds three.
-    - Blank lines, runs of spaces and tabs, or whitespace at either end of
-      a line: array operations count the fields that start on each line.
     - A '+' or '-' must start a field and come before a digit.
     - No value may be at an int64 bound, where out-of-range text saturates.
-    Anything else is parsed again from line 1 by the line loop, which gives
-    every message and line number: a lone '\r', which bytes.splitlines
-    treats as a line break and a file does not, a '#' other than at the
-    start of a line's first field, any byte but a digit, sign, space, tab
-    or line break (non-ASCII, a vertical tab, '_', 'x'), a line without
-    three fields, a misplaced sign, a value at an int64 bound, or a negative
-    id. The line loop reads the bytes already read, so the stream need not
-    be seekable. str input and text file objects go to the line loop
-    directly.
+    Anything else is parsed from line 1 by the line loop, which gives every
+    message and line number: a comment or blank line, a run of spaces and
+    tabs or whitespace at either end of a line, a lone '\r', which
+    bytes.splitlines treats as a line break and a file does not, any byte
+    but a digit, sign, space, tab or line break (non-ASCII, a vertical tab,
+    '_', 'x'), a line without three fields, a misplaced sign, a value at an
+    int64 bound, or a negative id. The line loop reads the bytes already
+    read, so the stream need not be seekable. str input and text file
+    objects go to the line loop directly.
     """
     if isinstance(data, bytes):
         raw, lines = data, bytes.splitlines
@@ -329,27 +328,21 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
 
     One np.fromstring call reads every field. It does not see lines and it
     saturates out-of-range values, so its values are trusted only once the
-    text is known to hold three plain integer fields on every line that is
-    not blank, and no value is at an int64 bound. The columns are strided
-    views of its one buffer."""
+    text is known to hold three plain integer fields on every line and no
+    value is at an int64 bound. The columns are strided views of its one
+    buffer."""
     # A lone '\r' ends a line for bytes.splitlines but not in a file.
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
-    if b"#" in data:
-        data = _drop_comments(data)
-        if data is None:
-            return None
     # The separators: what is left without the fields and the '\r' of each
     # '\r\n', tabs read as spaces. Lines of three fields split by one space
-    # or tab leave "  \n" each, the last line "  " if it has no '\n'.
+    # or tab leave "  \n" each, the last line "  " if it has no '\n'; a '#',
+    # a blank line, any other gap or any other byte leaves something else.
     gaps = data.translate(bytes.maketrans(b"\t", b" "), b"0123456789+-\r")
     k, open_end = len(gaps) // 3, bool(data) and not data.endswith(b"\n")
-    if gaps == b"  \n" * k + b"  " * open_end:
-        lines = k + open_end  # each holds three fields at most
-    elif gaps.translate(None, b" \n"):
-        return None  # a byte no field or separator holds
-    else:
-        lines = _three_field_lines(data)
+    if gaps != b"  \n" * k + b"  " * open_end:
+        return None
+    lines = k + open_end  # each holds three fields at most
     if not lines or ((b"-" in data or b"+" in data) and not _signs_lead(data)):
         return None
     with warnings.catch_warnings():
@@ -384,27 +377,6 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
     return rows[:, 0], rows[:, 1], rows[:, 2], dropped
 
 
-def _three_field_lines(data: bytes) -> int | None:
-    """The number of lines of `data` that hold three fields, or None if a
-    line holds neither 0 nor 3; `data` is not empty and has only digits,
-    signs, spaces, tabs and line breaks."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    field = b > 32  # every byte <= 32 left is a separator
-    marks = np.empty_like(field)
-    marks[0] = field[0]
-    np.greater(field[1:], field[:-1], out=marks[1:])  # where a field starts
-    marks |= np.equal(b, 10, out=field)  # or a line ends
-    del field
-    events = np.flatnonzero(marks)
-    del marks
-    ends = np.flatnonzero(b[events] == 10)
-    per_line = np.diff(ends, prepend=-1, append=len(events))
-    per_line -= 1  # the fields between two line ends
-    if ((per_line != 0) & (per_line != 3)).any():
-        return None
-    return (len(events) - len(ends)) // 3
-
-
 def _signs_lead(data: bytes) -> bool:
     """Whether every '+' and '-' in `data` starts a field, after a separator
     or at the start, and comes before a digit."""
@@ -413,29 +385,6 @@ def _signs_lead(data: bytes) -> bool:
     before = b[at - 1]
     after = b[np.minimum(at + 1, len(b) - 1)]  # a sign at the end reads itself
     return bool((((before <= 32) | (at == 0)) & (after >= ord("0")) & (after <= ord("9"))).all())
-
-
-def _drop_comments(data: bytes) -> bytes | None:
-    """`data` without its comment lines, those whose first field starts
-    with '#', or None if a '#' lies outside a comment line or a comment line
-    is not UTF-8; the line loop reports both."""
-    kept = []
-    pos = 0  # start of the text not yet kept
-    hit = data.find(b"#")
-    while hit >= 0:
-        start = data.rfind(b"\n", 0, hit) + 1
-        if data[start:hit].strip():
-            return None
-        end = data.find(b"\n", hit) + 1 or len(data)
-        try:
-            data[start:end].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        kept.append(data[pos:start])
-        pos = end
-        hit = data.find(b"#", end)
-    kept.append(data[pos:])
-    return b"".join(kept)
 
 
 def _parse_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, int, int]]:
@@ -704,8 +653,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     recorded on `static` for common_counts; each call builds a fresh one.
     """
     n, start, nbr = static.n, static.adj_start, static.adj_nbr
-    size = np.diff(start)
-    deg = size.copy()  # residual degrees
+    deg = np.diff(start)  # residual degrees
     alive = np.ones(n, dtype=bool)
     views = None
     parts = [np.zeros(0, dtype=np.int64)]
@@ -728,9 +676,7 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
         batch = batch[np.argsort(deg[batch], kind="stable")]
         parts.append(batch)
         alive[batch] = False
-        lens = size[batch]
-        ends = np.cumsum(lens)
-        hit = nbr[np.arange(ends[-1]) + np.repeat(start[batch] + lens - ends, lens)]
+        hit = nbr[_entries(start, batch)[0]]
         hit = np.sort(hit[alive[hit]])
         first = np.flatnonzero(np.diff(hit, prepend=-1))
         touched = hit[first]

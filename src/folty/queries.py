@@ -19,9 +19,9 @@ built in Python integers otherwise, so any Fraction tau stays exact. An edge
 only certifies if it has at least one closing neighbor, so empty universes
 never satisfy the quantifier vacuously, and eea thresholds only the edges
 with a non-zero total: found with their pair ids once per count table
-(CountTable.nonzero). Every eval_* reads its counts as a CountTable
-(as_table), so per-edge totals from the practical or oracle engine build
-this state once per table too.
+(CountTable.nonzero). Every eval_* reads its counts as a CountTable of one
+entry per edge (as_table), so per-edge totals from the practical or oracle
+engine build this state once per table too.
 
 eae and eaa share one vertex path, built from state that no tau changes: the
 common-neighbor universe sizes, once per graph (TemporalGraph.pair_common),
@@ -42,6 +42,7 @@ build none.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,25 +177,28 @@ _PERCENT = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*%\s*$")
 
 
 def parse_tau(text: str | Fraction | float) -> Fraction:
-    """Exact rational threshold from '0.25', '25%', or '1/4' forms."""
+    """Exact rational threshold from '0.25', '25%', or '1/4' forms, a
+    Fraction, or a float read through its repr (0.1 is 1/10)."""
     if isinstance(text, Fraction):
         tau = text
-    elif isinstance(text, float):
-        tau = Fraction(str(text))
     else:
-        s = text.strip()
+        s = str(text).strip()
         m = _PERCENT.match(s)
         try:
             tau = Fraction(m.group(1)) / 100 if m else Fraction(s)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # NaN and infinite floats too
             raise ParameterError(f"cannot parse threshold {text!r}") from None
-    _check_tau(tau)
+    _check_tau(tau, text)
     return tau
 
 
-def _check_tau(tau: Fraction) -> None:
+def _check_tau(tau: Fraction, shown: object = None) -> None:
+    """Refuse a tau that is not rational or not in (0, 1]; a range error
+    names `shown`, the text tau was read from, if given."""
+    if not isinstance(tau, numbers.Rational):
+        raise ParameterError(f"threshold must be rational, got {tau!r}; parse_tau reads floats and text exactly")
     if not (0 < tau <= 1):
-        raise ParameterError(f"threshold must be in (0, 1], got {tau}")
+        raise ParameterError(f"threshold must be in (0, 1], got {tau if shown is None else shown}")
 
 
 def as_table(counts: CountTable | Sequence[int], delta: int | None = None) -> CountTable:
@@ -206,6 +210,15 @@ def as_table(counts: CountTable | Sequence[int], delta: int | None = None) -> Co
         return counts
     totals = np.asarray(counts, dtype=np.int64)
     return CountTable(np.zeros_like(totals), totals, delta)
+
+
+def _table(g: TemporalGraph, counts: CountTable | Sequence[int]) -> CountTable:
+    """counts as a CountTable (as_table), refused unless it has one entry
+    per edge of g."""
+    table = as_table(counts)
+    if len(table.totals_array) != g.m:
+        raise ParameterError(f"counts have {len(table.totals_array)} entries, the graph {g.m} edges")
+    return table
 
 
 def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
@@ -241,7 +254,7 @@ def eval_eea(
     """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|:
     only the edges with a non-zero total are thresholded."""
     _check_tau(tau)
-    table = as_table(counts)
+    table = _table(g, counts)
     eids, pairs = table.nonzero(g)
     count = table.totals_array[eids]
     size = _pair_sizes(g, static, universe, pairs)
@@ -274,7 +287,7 @@ def eval_eae(
     """Vertices u with >= tau * |N(u)| neighbors v reachable by an edge
     u -> v that closes at least one triangle."""
     _check_tau(tau)
-    return _vertex_query(g, static, as_table(counts).pair_max(g) >= 1, tau, "eae")
+    return _vertex_query(g, static, _table(g, counts).pair_max(g) >= 1, tau, "eae")
 
 
 def eval_eaa(
@@ -290,7 +303,7 @@ def eval_eaa(
     total reaches the tau2 least count."""
     _check_tau(tau1)
     _check_tau(tau2)
-    hit = as_table(counts).pair_max(g) >= _least(tau2, _pair_sizes(g, static, universe), 1)
+    hit = _table(g, counts).pair_max(g) >= _least(tau2, _pair_sizes(g, static, universe), 1)
     return _vertex_query(g, static, hit, tau1, "eaa")
 
 

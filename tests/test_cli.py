@@ -243,6 +243,10 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "de Morgan" in capsys.readouterr().err
 
+    def test_range_error_echoes_tau_text(self, triangle_path, capsys):
+        assert main(["query", "eea", triangle_path, "--delta", "10", "--tau", "1e400"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: threshold must be in (0, 1], got 1e400\n"
+
     def test_io_missing_file(self, capsys):
         assert main(["stats", "/nonexistent/file.txt"]) == EXIT_IO
 
@@ -342,6 +346,23 @@ class TestUsagePaths:
         with pytest.raises(UsageError):
             call(richer_path)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda path: run_query(path, "eaa", 10, _tau("0.5")),
+            lambda path: run_sweep(path, "eaa", [10], [_tau("0.5")]),
+        ],
+    )
+    def test_eaa_without_tau2_refused_before_load(self, richer_path, monkeypatch, call):
+        from folty.cli import UsageError
+
+        def refuse(data):
+            raise AssertionError("input parsed")
+
+        monkeypatch.setattr(folty.cli, "parse_edge_list", refuse)
+        with pytest.raises(UsageError, match="eaa requires --tau1 and --tau2"):
+            call(richer_path)
+
 
 class TestSweep:
     def test_csv_schema_and_monotone_columns(self, richer_path, capsys):
@@ -435,6 +456,7 @@ class TestRunQueryAPI:
 
         report = run_query(richer_path, "eea", 20, Fraction(1, 4))
         assert report["query"]["engine"] == "folty"
+        assert run_query(richer_path, "eea", 20, Fraction(1, 4), Fraction(1, 2))["query"]["tau2"] == ""
         assert report["graph"]["n"] == 4
         assert isinstance(report["timings_ms"]["out_pass"], float)
 

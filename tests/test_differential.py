@@ -5,6 +5,7 @@ vectorization put at risk."""
 
 import itertools
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -315,6 +316,37 @@ def test_count_tables_many_windows():
     for _ in range(6):
         g = TemporalGraph.from_edges(random_edges(rng, rng.randint(4, 10), rng.randint(20, 120), list(range(40))))
         assert_tables_agree(g, list(range(40, -1, -1)) + [2**62])
+
+
+def test_fractional_deltas_count_as_their_floor():
+    """Timestamps are integers, so a delta between integers admits the
+    chains of its floor, in every engine; NaN is refused like a negative
+    delta."""
+    rng = random.Random(0xF1A7)
+    g = TemporalGraph.from_edges(random_edges(rng, 12, 120, list(range(30))))
+    static = build_static(g)
+    ordering = degeneracy_order(static)
+    for delta in (0.5, 2.5, Fraction(7, 2), 9.99):
+        want = oracle_counts(g, math.floor(delta), static).count
+        assert oracle_counts(g, delta, static).count == want, delta
+        assert practical_counts(g, static, delta) == want, delta
+        assert compute_counts(g, delta, static, ordering).totals() == want, delta
+        sides = folty.engine.out_pass(g, static, ordering, delta) + folty.engine.in_pass(g, static, ordering, delta)
+        assert sides.tolist() == want, delta
+    assert any(oracle_counts(g, 2, static).count)
+    halves = count_tables(g, [2.5, 2], static, ordering)
+    assert [t.delta for t in halves] == [2.5, 2]
+    assert np.array_equal(halves[0].in_array, halves[1].in_array)
+    assert np.array_equal(halves[0].out_array, halves[1].out_array)
+    nan = float("nan")
+    for call in (
+        lambda: compute_counts(g, nan),
+        lambda: count_tables(g, [2, nan]),
+        lambda: folty.engine.out_pass(g, static, ordering, nan),
+        lambda: folty.engine.in_pass(g, static, ordering, nan),
+    ):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            call()
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])

@@ -258,8 +258,13 @@ def refuse_line_loop(lines):
     raise AssertionError("line loop called")
 
 
-def refuse_general_check(data):
-    raise AssertionError("general line check called")
+def count_line_loop(monkeypatch) -> list:
+    """A list that gains one item per call of the line loop, which still
+    runs."""
+    calls = []
+    loop = folty.graph._parse_lines
+    monkeypatch.setattr(folty.graph, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+    return calls
 
 
 def memory_input() -> bytes:
@@ -296,21 +301,21 @@ class TestArrayParse:
         assert err.value.lineno == 151
 
     def test_clean_input_skips_line_loop(self, monkeypatch):
-        monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
-        data = b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+10 -0 -9\n"
-        for source in (data, io.BytesIO(data), NonSeekable(data)):
-            g = parse_edge_list(source)
-            assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
-            assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
-        # Runs of spaces and tabs, whitespace at either end of a line and
-        # blank lines: the general check counts the fields per line.
+        # Blank lines, runs of spaces and tabs and whitespace at either end
+        # of a line take the line loop; the graph is the same.
         irregular = b"  1 2\t 3 \r\n\n \t\n4  5 6\t\n7 7 8\n+10\t\t-0   -9  "
-        # One space or tab between fields, LF or CRLF: the canonical check
-        # alone decides the structure.
         canonical = b"1 2 3\n4 5 6\n7 7 8\n+10 -0 -9\n"
-        for data in (irregular, canonical, canonical[:-1], canonical.replace(b" ", b"\t"), canonical.replace(b"\n", b"\r\n")):
+        for data in (
+            b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+10 -0 -9\n",
+            irregular,
+            canonical,
+            canonical[:-1],
+            canonical.replace(b" ", b"\t"),
+            canonical.replace(b"\n", b"\r\n"),
+        ):
             if data is canonical:
-                monkeypatch.setattr(folty.graph, "_three_field_lines", refuse_general_check)
+                # One space or tab between fields, LF or CRLF: the array parse.
+                monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
             for source in (data, io.BytesIO(data), NonSeekable(data)):
                 g = parse_edge_list(source)
                 assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
@@ -319,42 +324,28 @@ class TestArrayParse:
     def test_underscores_take_line_loop(self, monkeypatch):
         data = b"1_000 2 3\n"
         want = parse_outcome(line_loop, data.splitlines())
-        calls = []
-        loop = folty.graph._parse_lines
-        monkeypatch.setattr(folty.graph, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+        calls = count_line_loop(monkeypatch)
         assert parse_outcome(parse_edge_list, data) == want
         assert calls == [1]
         assert want == ("graph", [[1], [0], [3]], [2, 1000], 0)
 
     @pytest.mark.parametrize("data", TWO_VALUE_LINES)
     def test_value_count_takes_line_loop(self, monkeypatch, data):
-        calls = []
-        loop = folty.graph._parse_lines
-        monkeypatch.setattr(folty.graph, "_parse_lines", lambda lines: calls.append(1) or loop(lines))
+        calls = count_line_loop(monkeypatch)
         with pytest.raises(ParseError) as err:
             parse_edge_list(data)
         assert err.value.lineno == 2
         assert calls == [1]
 
-    def test_comment_lines_skip_line_loop(self, monkeypatch):
-        monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
-        data = b"# src dst t\n1 2 3\n  # mid\n#4 5 6\n\t#\n4 5 6\n# \xc3\xa9\n# end"
-        for source in (data, io.BytesIO(data), NonSeekable(data)):
-            g = parse_edge_list(source)
-            assert g.edge_lists == ([0, 2], [1, 3], [3, 6])
-            assert g.orig == [1, 2, 4, 5]
-
-    def test_comment_removal_memory(self):
-        body = b"".join(b"%d %d %d\n" % (i, i + 1, i * 7) for i in range(60000))
-        data = b"# src dst t\n" + body
-        tracemalloc.start()
-        try:
-            kept = folty.graph._drop_comments(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert kept == body
-        assert peak < 3 * len(data)
+    @pytest.mark.parametrize("data", [b"# src dst t\n1 2 3\n", b"1 2 3\n\n4 5 6\n", b"1  2 3\n4 5 6\n"])
+    def test_irregular_lines_take_line_loop(self, monkeypatch, data):
+        """A comment line, a blank line or a double space sends the whole
+        input to the line loop, once, with the loop's outcome."""
+        want = parse_outcome(line_loop, data.splitlines())
+        calls = count_line_loop(monkeypatch)
+        assert parse_outcome(parse_edge_list, data) == want
+        assert calls == [1]
+        assert want[0] == "graph"
 
     def test_build_memory_per_edge(self):
         """parse_edge_list on about 60k shuffled edges over sparse ids, each

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_temporal_graph
-from folty.engine import compute_counts
+from folty.engine import CountTable, compute_counts
 from folty.graph import TemporalGraph, build_static
 from folty import queries
 from folty.oracle import oracle_solutions
@@ -62,6 +62,32 @@ class TestTauParsing:
         with pytest.raises(ParameterError):
             parse_tau("abc")
 
+    def test_non_finite_floats(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="cannot parse threshold"):
+                parse_tau(bad)
+
+    def test_range_error_echoes_text(self):
+        for text in ("1e400", "150%", 1.5):
+            with pytest.raises(ParameterError) as err:
+                parse_tau(text)
+            assert str(err.value) == f"threshold must be in (0, 1], got {text}"
+
+    def test_non_rational_tau_refused(self):
+        g = tiny_triangle()
+        static, counts = prepared(g, 10)
+        half = Fraction(1, 2)
+        for call in (
+            lambda: eval_eea(g, static, counts, 0.5),
+            lambda: eval_eae(g, static, counts, 0.5),
+            lambda: eval_eaa(g, static, counts, 0.5, half),
+            lambda: eval_eaa(g, static, counts, half, 0.5),
+            lambda: QuerySpec("eea", 10, 0.5),
+            lambda: QuerySpec("eaa", 10, half, 0.5),
+        ):
+            with pytest.raises(ParameterError, match="rational.*parse_tau"):
+                call()
+
     def test_exactness(self):
         # 0.1 is exactly 1/10, not the binary float
         assert parse_tau("0.1") == Fraction(1, 10)
@@ -87,6 +113,25 @@ class TestKinds:
 
     def test_queryspec_normalizes_kind(self):
         assert QuerySpec("EEA", 10, Fraction(1, 2)).kind == "eea"
+
+
+class TestTableLength:
+    def test_wrong_length_refused(self):
+        g = tiny_triangle()
+        static = build_static(g)
+        half = Fraction(1, 2)
+        for size, counts in (
+            (g.m - 1, [1] * (g.m - 1)),
+            (g.m + 7, [0] * (g.m + 7)),
+            (g.m + 1, CountTable([0] * (g.m + 1), [1] * (g.m + 1), 10)),
+        ):
+            for call in (
+                lambda: eval_eea(g, static, counts, half),
+                lambda: eval_eae(g, static, counts, half),
+                lambda: eval_eaa(g, static, counts, half, half),
+            ):
+                with pytest.raises(ParameterError, match=f"counts have {size} entries, the graph {g.m} edges"):
+                    call()
 
 
 class TestEEA:
