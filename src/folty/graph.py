@@ -28,7 +28,9 @@ it induces keeps every out-degree <= alpha.
 
 The array kernels of every layer live here once: _find (sorted-key lookup),
 _blocks and _entries (CSR rows in bounded blocks), and _closed_wedges, which
-lists each triangle of an acyclic orientation once (Chiba and Nishizeki).
+lists each triangle of an acyclic orientation once from its lowest-rank
+vertex (Chiba and Nishizeki), looking up only the wedges whose second head
+is ranked above the first (Schank and Wagner).
 Each degeneracy ordering lists its triangles once, and both the count
 passes and the common counts read that list.
 """
@@ -482,27 +484,33 @@ def _blocks(start: np.ndarray, rows: np.ndarray) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
-def _closed_wedges(start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _closed_wedges(start: np.ndarray, nbr: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every triangle x -> y, x -> z, y -> z of an acyclic CSR orientation
-    (x's heads are nbr[start[x]:start[x + 1]], ascending) once, as the entry
-    indices (xy, xz, yz), ascending by (xy, xz).
+    (x's heads are nbr[start[x]:start[x + 1]], ascending; every edge u -> v
+    has rank[u] < rank[v]) once, as the entry indices (xy, xz, yz),
+    ascending by (xy, xz).
 
     Each entry x -> y, where x has another head and y has one, expands the
-    row of x and looks the key y * n + z of every head z up among the
-    sorted entry keys, BLOCK lookups at a time.
+    row of x and keeps the heads z ranked above y: no edge y -> z can point
+    to a lower rank (Schank and Wagner's forward constraint). The key
+    y * n + z of each kept wedge is looked up among the sorted entry keys,
+    sum of C(outdeg(x), 2) lookups, in blocks of about BLOCK wedges.
     """
     n = len(start) - 1
     outdeg = np.diff(start)
     tail = np.repeat(np.arange(n, dtype=np.int64), outdeg)
     keys = tail * n + nbr
+    head_rank = rank[nbr]
     xy = np.flatnonzero((outdeg[tail] > 1) & (outdeg[nbr] > 0))
     parts = [(np.empty(0, dtype=np.int64),) * 3]
     for block in _blocks(start, tail[xy]):
         xz, i = _entries(start, tail[xy[block]])
         e = xy[block][i]
+        up = np.flatnonzero(head_rank[xz] > head_rank[e])
+        e, xz = e.take(up), xz.take(up)
         yz = _find(keys, nbr[e] * n + nbr[xz])
-        hit = yz >= 0
-        parts.append((e[hit], xz[hit], yz[hit]))
+        hit = np.flatnonzero(yz >= 0)
+        parts.append((e.take(hit), xz.take(hit), yz.take(hit)))
     xy, xz, yz = (np.concatenate(column) for column in zip(*parts))
     return xy, xz, yz
 
@@ -628,11 +636,12 @@ class DegeneracyOrdering:
         rank(c), ascending by (ab, ac); built on first use.
 
         The triangles of the orientation by _closed_wedges: for each oriented
-        edge (a, b), c runs over the out-neighbors of a and is kept where
-        b -> c is an oriented edge, sum of outdeg^2 <= alpha * m lookups.
+        edge (a, b), c runs over the out-neighbors of a ranked above b and is
+        kept where b -> c is an oriented edge, sum of C(outdeg, 2) <=
+        alpha * m / 2 lookups.
         """
         if self._triangle_entries is None:
-            self._triangle_entries = _closed_wedges(self.out_start, self.out_nbr)
+            self._triangle_entries = _closed_wedges(self.out_start, self.out_nbr, self._pi)
         return self._triangle_entries
 
 

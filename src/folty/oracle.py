@@ -9,6 +9,7 @@ configurable edge-count ceiling instead of silently running forever.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,13 @@ def oracle_counts(
     some (src, w, t2), (dst, w, t3) satisfying t <= t2 <= t3 <= t + delta.
 
     Distinct w, not (t2, t3) pairs: many parallel witnesses still count once.
+    Timestamps are integers, so delta counts as its floor, compared in
+    integer arithmetic; no chain of int64 timestamps spans more than 2**64.
+    A negative or NaN delta is refused.
     """
+    if not delta >= 0:  # NaN too
+        raise ValueError("delta must be >= 0")
+    window = math.floor(min(delta, 2**64))
     if g.m > max_edges:
         raise OracleCeilingError(
             f"{g.m} temporal edges exceeds the oracle ceiling of {max_edges}"
@@ -56,7 +63,7 @@ def oracle_counts(
         x = src[eid]
         y = dst[eid]
         t = ts[eid]
-        hi = t + delta
+        hi = t + window
         for w in sorted(sets[x] & sets[y]):
             found = None
             for t2 in g.pair(x, w)[1]:

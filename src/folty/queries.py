@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import CountTable
+from .engine import CountTable, _window
 from .graph import StaticGraph, TemporalGraph
 
 _I64_MAX = 2**63 - 1
@@ -156,7 +156,7 @@ class QuerySpec:
             if self.tau2 is None:
                 raise ParameterError("eaa requires both tau1 and tau2")
             _check_tau(self.tau2)
-        if self.delta < 0:
+        if not self.delta >= 0:  # NaN too
             raise ParameterError("delta must be >= 0")
 
 
@@ -310,9 +310,10 @@ def eval_eaa(
 def practical_counts(g: TemporalGraph, static: StaticGraph, delta: int) -> list[int]:
     """Baseline count[] walking every static triangle from the lower-degree
     endpoint of each static edge, both edge directions per triangle, using
-    forward-scan chains only."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    forward-scan chains only. delta is refused if negative or NaN, and
+    otherwise read as the integer floor of its clamp to the timestamp span,
+    as the engines read it."""
+    delta = _window(g, delta)
     count = [0] * g.m
     sets = static.adj_sets
     pair = g.pair

@@ -11,6 +11,7 @@ import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import folty.engine
@@ -435,14 +436,15 @@ def test_criterion_5_out_cut_before_second_lookup(monkeypatch):
 
 def test_criterion_5_wedge_lookup_bound(monkeypatch):
     """The triangle listing's share of the bound, counted without a clock:
-    for each oriented edge x -> y, _closed_wedges looks up one key per head
-    of x, so at most sum outdeg(x)^2 <= alpha * |E| keys for |E| oriented
-    edges, on the graph shapes of test_criterion_5_expansion_bound."""
+    for each oriented edge x -> y, _closed_wedges looks up the key y * n + z
+    of each head z of x ranked above y, so at most sum C(outdeg(x), 2) <=
+    alpha * |E| keys for |E| oriented edges, on the graph shapes of
+    test_criterion_5_expansion_bound."""
     looked = []
     find = folty.graph._find
 
     def counting(keys, q):
-        looked.append(len(q))
+        looked.append(q)
         return find(keys, q)
 
     monkeypatch.setattr(folty.graph, "_find", counting)
@@ -451,11 +453,16 @@ def test_criterion_5_wedge_lookup_bound(monkeypatch):
     for g in graphs:
         o = degeneracy_order(build_static(g))
         looked.clear()
-        _closed_wedges(o.out_start, o.out_nbr)
-        assert sum(looked) <= o.alpha * len(o.out_nbr), (sum(looked), o.alpha, len(o.out_nbr))
-        lookups.append(sum(looked))
+        _closed_wedges(o.out_start, o.out_nbr, o._pi)
+        q = np.concatenate([np.empty(0, dtype=np.int64), *looked])
+        outdeg = np.diff(o.out_start)
+        assert len(q) <= int((outdeg * (outdeg - 1) // 2).sum()), (len(q), outdeg.tolist())
+        assert len(q) <= o.alpha * len(o.out_nbr), (len(q), o.alpha, len(o.out_nbr))
+        y, z = np.divmod(q, g.n)
+        assert (o._pi[z] > o._pi[y]).all()  # only wedges that an edge y -> z could close
+        lookups.append(len(q))
     assert all(lookups[:6])  # the cores, the hub pair and the star look keys up
-    _passed("criterion 5: the triangle listing makes at most alpha * |E| wedge lookups")
+    _passed("criterion 5: the triangle listing looks up only forward wedges, at most alpha * |E| of them")
 
 
 def test_criterion_5_wiki_talk_runtime():

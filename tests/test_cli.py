@@ -491,9 +491,9 @@ class TestOneTriangleListing:
         calls = []
         closed_wedges = folty.graph._closed_wedges
 
-        def counting(start, nbr):
+        def counting(*args):
             calls.append(1)
-            return closed_wedges(start, nbr)
+            return closed_wedges(*args)
 
         monkeypatch.setattr(folty.graph, "_closed_wedges", counting)
         return calls

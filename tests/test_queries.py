@@ -108,8 +108,9 @@ class TestKinds:
     def test_queryspec_validation(self):
         with pytest.raises(ParameterError):
             QuerySpec("eaa", 10, Fraction(1, 2))  # missing tau2
-        with pytest.raises(ParameterError):
-            QuerySpec("eea", -1, Fraction(1, 2))
+        for bad in (-1, float("nan")):
+            with pytest.raises(ParameterError, match="delta must be >= 0"):
+                QuerySpec("eea", bad, Fraction(1, 2))
 
     def test_queryspec_normalizes_kind(self):
         assert QuerySpec("EEA", 10, Fraction(1, 2)).kind == "eea"
