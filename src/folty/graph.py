@@ -6,9 +6,9 @@ ids as non-negative integers and timestamps as signed 64-bit integers
 parse time. Parallel edges, including exact duplicate lines, are kept as
 distinct edges. Bytes and binary files are read by one np.fromstring call
 over the whole buffer, once exact array checks show that every line holds
-three plain integer fields split by one space or tab; the line loop parses
-whatever those checks decline, comments and blank lines included, so every
-ParseError names its line.
+three unsigned integer fields split by one space or tab; the line loop
+parses whatever those checks decline, comments, blank lines and signs
+included, so every ParseError names its line.
 
 Every input reaches the graph arrays through one build, the TemporalGraph
 constructor: the array parse hands it int64 columns, and the line loop, a
@@ -296,20 +296,21 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     A binary file object is read whole and then parsed like bytes: by one
     np.fromstring call straight into int64 values, after checks that give
     the same answer as the line loop:
-    - Fields split by one space or tab, lines ended by LF or CRLF: one
-      bytes.translate that keeps only the separators shows every line holds
-      three fields at most, and the value count shows it holds three.
-    - A '+' or '-' must start a field and come before a digit.
-    - No value may be at an int64 bound, where out-of-range text saturates.
+    - Unsigned fields split by one space or tab, lines ended by LF or
+      CRLF: one bytes.translate that keeps only the separators shows every
+      line holds three fields at most, and the value count shows it holds
+      three.
+    - No value may be at the int64 maximum, where out-of-range text
+      saturates.
     Anything else is parsed from line 1 by the line loop, which gives every
     message and line number: a comment or blank line, a run of spaces and
     tabs or whitespace at either end of a line, a lone '\r', which
-    bytes.splitlines treats as a line break and a file does not, any byte
-    but a digit, sign, space, tab or line break (non-ASCII, a vertical tab,
-    '_', 'x'), a line without three fields, a misplaced sign, a value at an
-    int64 bound, or a negative id. The line loop reads the bytes already
-    read, so the stream need not be seekable. str input and text file
-    objects go to the line loop directly.
+    bytes.splitlines treats as a line break and a file does not, a sign,
+    any other byte but a digit, space, tab or line break (non-ASCII, a
+    vertical tab, '_', 'x'), a line without three fields, or a value at the
+    int64 maximum. The line loop reads the bytes already read, so the
+    stream need not be seekable. str input and text file objects go to the
+    line loop directly.
     """
     if isinstance(data, bytes):
         raw, lines = data, bytes.splitlines
@@ -330,22 +331,23 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
 
     One np.fromstring call reads every field. It does not see lines and it
     saturates out-of-range values, so its values are trusted only once the
-    text is known to hold three plain integer fields on every line and no
-    value is at an int64 bound. The columns are strided views of its one
-    buffer."""
+    text is known to hold three unsigned integer fields on every line and
+    no value is at the int64 maximum. The columns are strided views of its
+    one buffer."""
     # A lone '\r' ends a line for bytes.splitlines but not in a file.
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
-    # The separators: what is left without the fields and the '\r' of each
+    # The separators: what is left without the digits and the '\r' of each
     # '\r\n', tabs read as spaces. Lines of three fields split by one space
     # or tab leave "  \n" each, the last line "  " if it has no '\n'; a '#',
-    # a blank line, any other gap or any other byte leaves something else.
-    gaps = data.translate(bytes.maketrans(b"\t", b" "), b"0123456789+-\r")
+    # a sign, a blank line, any other gap or any other byte leaves something
+    # else.
+    gaps = data.translate(bytes.maketrans(b"\t", b" "), b"0123456789\r")
     k, open_end = len(gaps) // 3, bool(data) and not data.endswith(b"\n")
     if gaps != b"  \n" * k + b"  " * open_end:
         return None
     lines = k + open_end  # each holds three fields at most
-    if not lines or ((b"-" in data or b"+" in data) and not _signs_lead(data)):
+    if not lines:
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns on unmatched data
@@ -356,12 +358,9 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
     # One value per field, so 3 per line when no line holds more than 3.
     if len(values) != 3 * lines:
         return None
-    lo, hi = values.min(), values.max()
-    if lo == _I64_MIN or hi == _I64_MAX:
-        return None  # out-of-range text reads as a bound; the line loop tells which
+    if values.max() == _I64_MAX:
+        return None  # out-of-range text reads as the maximum; the line loop tells which
     rows = values.reshape(-1, 3)
-    if lo < 0 and rows[:, :2].min() < 0:
-        return None
     keep = rows[:, 0] != rows[:, 1]
     dropped = len(keep) - int(np.count_nonzero(keep))
     if dropped:
@@ -377,16 +376,6 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
             kept += n
         rows = rows[:kept]
     return rows[:, 0], rows[:, 1], rows[:, 2], dropped
-
-
-def _signs_lead(data: bytes) -> bool:
-    """Whether every '+' and '-' in `data` starts a field, after a separator
-    or at the start, and comes before a digit."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    at = np.flatnonzero((b == ord("+")) | (b == ord("-")))
-    before = b[at - 1]
-    after = b[np.minimum(at + 1, len(b) - 1)]  # a sign at the end reads itself
-    return bool((((before <= 32) | (at == 0)) & (after >= ord("0")) & (after <= ord("9"))).all())
 
 
 def _parse_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, int, int]]:

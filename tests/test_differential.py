@@ -338,10 +338,11 @@ def test_fractional_deltas_count_as_their_floor():
     assert [t.delta for t in halves] == [2.5, 2]
     assert np.array_equal(halves[0].in_array, halves[1].in_array)
     assert np.array_equal(halves[0].out_array, halves[1].out_array)
-    # a float t + delta would round at 2**62, where floats step by 1024
-    far = TemporalGraph.from_edges([(1, 2, 2**62), (1, 3, 2**62 + 5), (2, 3, 2**62 + 9)])
+    # a float t + delta would round at 2**62, where floats step by 1024; the
+    # last edge spans the graph past delta, so the clamp alone cannot floor it
+    far = TemporalGraph.from_edges([(1, 2, 2**62), (1, 3, 2**62 + 5), (2, 3, 2**62 + 9), (1, 2, 2**62 + 100)])
     far_static = build_static(far)
-    for delta, want in ((8.99, [0, 0, 0]), (9.99, [1, 0, 0]), (float("inf"), [1, 0, 0])):
+    for delta, want in ((8.99, [0, 0, 0, 0]), (9.99, [1, 0, 0, 0]), (float("inf"), [1, 0, 0, 0])):
         assert oracle_counts(far, delta, far_static).count == want, delta
         assert practical_counts(far, far_static, delta) == want, delta
         assert compute_counts(far, delta, far_static).totals() == want, delta

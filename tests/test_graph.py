@@ -192,6 +192,8 @@ PARSE_CASES = {
     "nul_inside_field": b"1 2\x003\n",
     "lone_cr_first": b"\r1 2 3\n",
     "cr_before_crlf": b"1 2 3\r\r\n",
+    "lone_cr_before_separator": b"12\r 3 4\n",
+    "lone_cr_after_separator": b"1 2\r 3\n",
     "sign_inside_field_count_compensated": b"1 2 3-4\n5  6\n",
     "plus_inside_field": b"1 2 3+4\n",
     "lone_minus": b"1 2 -\n",
@@ -301,13 +303,14 @@ class TestArrayParse:
         assert err.value.lineno == 151
 
     def test_clean_input_skips_line_loop(self, monkeypatch):
-        # Blank lines, runs of spaces and tabs and whitespace at either end
-        # of a line take the line loop; the graph is the same.
-        irregular = b"  1 2\t 3 \r\n\n \t\n4  5 6\t\n7 7 8\n+10\t\t-0   -9  "
-        canonical = b"1 2 3\n4 5 6\n7 7 8\n+10 -0 -9\n"
+        # Blank lines, runs of spaces and tabs, whitespace at either end of
+        # a line and signs take the line loop; the graph is the same.
+        irregular = b"  1 2\t 3 \r\n\n \t\n4  5 6\t\n7 7 8\n+10\t\t-0   9  "
+        canonical = b"1 2 3\n4 5 6\n7 7 8\n10 0 9\n"
         for data in (
-            b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+10 -0 -9\n",
+            b"1 2 3\r\n\n\t4 5 6\n7 7 8\n+10 -0 9\n",
             irregular,
+            b"1 2 3\n4 5 6\n7 7 8\n+10 -0 +9\n",
             canonical,
             canonical[:-1],
             canonical.replace(b" ", b"\t"),
@@ -318,8 +321,19 @@ class TestArrayParse:
                 monkeypatch.setattr(folty.graph, "_parse_lines", refuse_line_loop)
             for source in (data, io.BytesIO(data), NonSeekable(data)):
                 g = parse_edge_list(source)
-                assert g.edge_lists == ([5, 1, 3], [0, 2, 4], [-9, 3, 6])
+                assert g.edge_lists == ([1, 3, 5], [2, 4, 0], [3, 6, 9])
                 assert g.orig == [0, 1, 2, 4, 5, 10] and g.self_loops_dropped == 1
+
+    @pytest.mark.parametrize("name", ["plus_sign", "minus_zero", "tabs_crlf", "int64_extreme_ts"])
+    def test_signs_take_line_loop(self, monkeypatch, name):
+        """A '+' or '-' anywhere sends the whole input to the line loop,
+        once, with the loop's outcome."""
+        data = PARSE_CASES[name]
+        assert b"+" in data or b"-" in data
+        want = parse_outcome(line_loop, data.splitlines())
+        calls = count_line_loop(monkeypatch)
+        assert parse_outcome(parse_edge_list, data) == want
+        assert calls == [1]
 
     def test_underscores_take_line_loop(self, monkeypatch):
         data = b"1_000 2 3\n"
