@@ -1,4 +1,4 @@
-"""Mutation check for the array parse and the engines' window and bound logic.
+"""Mutation check for the parse, the build and the engines' window and bound logic.
 
 Each mutant replaces one exact text in one source file. For each, the
 script copies src/, tests/, pyproject.toml and README.md to a temporary
@@ -30,9 +30,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPH, ENGINE, ORACLE = "src/folty/graph.py", "src/folty/engine.py", "src/folty/oracle.py"
+QUERIES = "src/folty/queries.py"
 PARSE_TESTS = ("tests/test_graph.py",)
 ENGINE_TESTS = ("tests/test_differential.py", "tests/test_engine.py", "tests/test_acceptance.py")
 ORACLE_TESTS = ENGINE_TESTS + ("tests/test_oracle.py",)
+PRACTICAL_TESTS = ("tests/test_differential.py", "tests/test_queries.py")
 
 
 class Mutant(NamedTuple):
@@ -102,6 +104,27 @@ MUTANTS = [
         PARSE_TESTS,
         "on numpy 2.x no input that passes the separator check makes np.fromstring raise or warn;"
         " the except is kept for numpy 1.x",
+    ),
+    Mutant(
+        GRAPH,
+        "keep = u != v",
+        "keep = u == u",
+        "build: self-loops are dropped",
+        PARSE_TESTS,
+    ),
+    Mutant(
+        GRAPH,
+        "self.self_loops_dropped = len(keep) - len(t)",
+        "self.self_loops_dropped = 0",
+        "build: the dropped self-loops are counted",
+        PARSE_TESTS,
+    ),
+    Mutant(
+        GRAPH,
+        "[labels[i] for i in ids.tolist()]",
+        "labels",
+        "build: a label seen only in a dropped self-loop is not a vertex",
+        PARSE_TESTS,
     ),
     Mutant(
         ENGINE,
@@ -176,6 +199,20 @@ MUTANTS = [
     ),
     Mutant(
         ENGINE,
+        "np.searchsorted(g.pair_comp, g.pair_comp[i] + (qb - qa) * len(g.t_distinct))",
+        'np.searchsorted(g.pair_comp, g.pair_comp[i] + (qb - qa) * len(g.t_distinct), "right")',
+        "_next_entry: the next list's entry at the same time is the first one",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        ENGINE,
+        "if held and held + len(part[0]) > KEY_CAP:",
+        "if held > KEY_CAP:",
+        "_capped: a run ends before the part that would take it past KEY_CAP",
+        ENGINE_TESTS,
+    ),
+    Mutant(
+        ENGINE,
         "return np.where(d > u ^ _SIGN, _I64_MIN, (u - d).view(np.int64))",
         "return (u - d).view(np.int64)",
         "_minus: t - d saturates at the int64 minimum",
@@ -201,6 +238,13 @@ MUTANTS = [
         "up = np.flatnonzero(head_rank[xz] >= head_rank[e])",
         "_closed_wedges: only heads ranked above y are looked up",
         ENGINE_TESTS,
+    ),
+    Mutant(
+        QUERIES,
+        "if t3 <= t + delta:",
+        "if t3 < t + delta:",
+        "practical _chain: the window is closed at its end",
+        PRACTICAL_TESTS,
     ),
     Mutant(
         ORACLE,

@@ -130,18 +130,13 @@ def run_query(
     (table,) = _count_tables(g, static, ordering, [delta], engine, ceiling, lap)
     solset = _threshold(g, static, table, kind, tau, tau2, universe)
     lap("threshold")
-    stats = graph_stats(g, static, ordering)
+    graph = {"n": g.n, "m": g.m, "alpha": ordering.alpha, "sigma_max": g.sigma_max()}
     lap("stats")
     return {
         "query": _echo(kind, delta, tau, tau2, universe, engine),
         "num_solutions": solset.total,
         "solutions": solset,
-        "graph": {
-            "n": stats.n,
-            "m": stats.m,
-            "alpha": stats.alpha,
-            "sigma_max": stats.sigma_max,
-        },
+        "graph": graph,
         "timings_ms": lap.ms,
     }
 

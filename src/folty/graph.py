@@ -2,18 +2,19 @@
 
 The input format is one directed temporal edge per line, "src dst t", with
 ids as non-negative integers and timestamps as signed 64-bit integers
-(seconds). Lines starting with '#' are comments. Self-loops are dropped at
-parse time. Parallel edges, including exact duplicate lines, are kept as
-distinct edges. Bytes and binary files are read by one np.fromstring call
-over the whole buffer, once exact array checks show that every line holds
-three unsigned integer fields split by one space or tab; the line loop
+(seconds). Lines starting with '#' are comments. Self-loops are dropped and
+counted by the build. Parallel edges, including exact duplicate lines, are
+kept as distinct edges. Bytes and binary files are read by one np.fromstring
+call over the whole buffer, once exact array checks show that every line
+holds three unsigned integer fields split by one space or tab; the line loop
 parses whatever those checks decline, comments, blank lines and signs
 included, so every ParseError names its line.
 
 Every input reaches the graph arrays through one build, the TemporalGraph
 constructor: the array parse hands it int64 columns, and the line loop, a
 generator of validated triples, goes through from_edges, which makes the
-columns from Python ints. There, vertex ids are remapped to dense [0, n) by
+columns from Python ints. There, self-loops are dropped first, so a vertex
+seen only in one gets no id, and vertex ids are remapped to dense [0, n) by
 ascending original id, through a rank table when the ids are dense enough;
 original ids are kept for output. Edges are sorted by (timestamp, input
 order) and the position in that order is the edge id used by every per-edge
@@ -52,8 +53,7 @@ _I64_MAX = 2**63 - 1
 #: CSR entries expanded per vectorized block of _blocks (a block may exceed
 #: it by the size of its last row, since one row is never split): the wedges
 #: of _closed_wedges and the list entries of the count passes; the passes
-#: also turn this many triangles into jobs at a time, and the array parse
-#: compacts this many rows at a time when it drops self-loops.
+#: also turn this many triangles into jobs at a time.
 BLOCK = 1 << 13
 
 #: Peel batches of fewer vertices than this run in a Python loop, larger ones
@@ -90,16 +90,18 @@ class TemporalEdge(NamedTuple):
 class TemporalGraph:
     """Immutable temporal multigraph with one CSR layout of its directed pairs.
 
-    TemporalGraph(u, v, t, dropped=0, labels=None) is the one build. u, v and
-    t are int64 edge columns in input order, without self-loops; dropped is
-    the number of self-loops the caller removed. The ids are remapped to
-    dense [0, n) by ascending id, through an int32 rank table when max id + 1
-    is at most ID_TABLE_RATIO * 2m (and below 2**31), else by sort and
-    searchsorted. labels, if given, are the original ids of the values
-    0..n-1 in u and v (from_edges passes them for ids beyond int64). The
-    edges are then ordered by (t, input order), a stable sort skipped when t
-    is already in order, and the pair layout is built. The graph owns every
-    array it keeps: none is a view of the caller's columns.
+    TemporalGraph(u, v, t, labels=None) is the one build. u, v and t are
+    int64 edge columns in input order, self-loops included. The build drops
+    the rows with u == v and counts them in self_loops_dropped, before the
+    ids are ranked, so a vertex seen only in a self-loop gets no id. The ids
+    are remapped to dense [0, n) by ascending id, through an int32 rank
+    table when max id + 1 is at most ID_TABLE_RATIO * 2m (and below 2**31),
+    else by sort and searchsorted. labels, if given, are the original ids of
+    the values in u and v (from_edges passes them for ids beyond int64), and
+    orig keeps those of the values left after the drop. The edges are then
+    ordered by (t, input order), a stable sort skipped when t is already in
+    order, and the pair layout is built. The graph owns every array it
+    keeps: none is a view of the caller's columns.
 
     Attributes
     ----------
@@ -107,6 +109,7 @@ class TemporalGraph:
     src, dst, ts : per-edge int64 arrays indexed by eid (dense vertex ids);
         ts is non-decreasing in eid order
     orig : dense id -> original id, a list of Python ints
+    self_loops_dropped : the number of input rows with u == v
     pair_key : ascending keys x * n + y of the directed pairs with >= 1 edge;
         the pair id p of (x, y) is its index here
     pair_start : offsets; pair p owns entries pair_start[p]:pair_start[p + 1]
@@ -123,14 +126,12 @@ class TemporalGraph:
         for code that reads single edges (the oracle, serialization, tests)
     """
 
-    def __init__(
-        self,
-        u: np.ndarray,
-        v: np.ndarray,
-        t: np.ndarray,
-        dropped: int = 0,
-        labels: list[int] | None = None,
-    ):
+    def __init__(self, u: np.ndarray, v: np.ndarray, t: np.ndarray, labels: list[int] | None = None):
+        keep = u != v
+        if not keep.all():
+            u, v, t = u[keep], v[keep], t[keep]
+        self.self_loops_dropped = len(keep) - len(t)
+        del keep
         m = len(t)
         lo = min(int(u.min()), int(v.min())) if m else 0
         span = max(int(u.max()), int(v.max())) + 1 if m else 0
@@ -155,10 +156,9 @@ class TemporalGraph:
         self.dst = v.astype(np.int64, copy=False)
         del u, v
         self.ts = t
-        self.orig = ids.tolist() if labels is None else labels
+        self.orig = ids.tolist() if labels is None else [labels[i] for i in ids.tolist()]
         self.n = len(self.orig)
         self.m = m
-        self.self_loops_dropped = dropped
         self._common: tuple[StaticGraph, np.ndarray] | None = None
         self._entry_pairs: tuple[DegeneracyOrdering, np.ndarray, np.ndarray] | None = None
 
@@ -177,21 +177,17 @@ class TemporalGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int, int]]) -> "TemporalGraph":
-        """Build from (src, dst, t) triples of Python ints; same semantics as
-        parsing. Self-loops are dropped. Ids that int64 cannot hold are
-        ranked in Python first; their ranks are the columns and the ids
-        themselves the labels."""
+        """Build from (src, dst, t) triples of Python ints, self-loops
+        included; same semantics as parsing. Ids that int64 cannot hold are
+        ranked in Python first, over every triple; their ranks are the
+        columns and the ids themselves the labels."""
         us: list[int] = []
         vs: list[int] = []
         ts: list[int] = []
-        dropped = 0
         for u, v, t in edges:
-            if u == v:
-                dropped += 1
-            else:
-                us.append(u)
-                vs.append(v)
-                ts.append(t)
+            us.append(u)
+            vs.append(v)
+            ts.append(t)
         labels = None
         try:
             u = np.array(us, dtype=np.int64)
@@ -201,7 +197,7 @@ class TemporalGraph:
             rank = {x: i for i, x in enumerate(labels)}
             u = np.array([rank[x] for x in us], dtype=np.int64)
             v = np.array([rank[x] for x in vs], dtype=np.int64)
-        return cls(u, v, np.array(ts, dtype=np.int64), dropped, labels)
+        return cls(u, v, np.array(ts, dtype=np.int64), labels)
 
     @cached_property
     def edge_lists(self) -> tuple[list[int], list[int], list[int]]:
@@ -325,9 +321,9 @@ def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
     return TemporalGraph(*columns)
 
 
-def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """Loop-free (u, v, t) int64 columns and the self-loop count of `data`,
-    or None if a line needs the line loop.
+def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Loop-free (u, v, t) int64 columns of `data`, self-loops included, or
+    None if a line needs the line loop.
 
     One np.fromstring call reads every field. It does not see lines and it
     saturates out-of-range values, so its values are trusted only once the
@@ -361,21 +357,7 @@ def _parse_array(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] 
     if values.max() == _I64_MAX:
         return None  # out-of-range text reads as the maximum; the line loop tells which
     rows = values.reshape(-1, 3)
-    keep = rows[:, 0] != rows[:, 1]
-    dropped = len(keep) - int(np.count_nonzero(keep))
-    if dropped:
-        # Kept rows only move towards the start of the buffer, so they are
-        # compacted in place, BLOCK rows and one column at a time (a 2-D
-        # block would hold three times the temporary), rather than copied out.
-        kept = 0
-        for first in range(0, len(rows), BLOCK):
-            part = keep[first : first + BLOCK]
-            n = int(np.count_nonzero(part))
-            for column in rows.T:
-                column[kept : kept + n] = column[first : first + BLOCK][part]
-            kept += n
-        rows = rows[:kept]
-    return rows[:, 0], rows[:, 1], rows[:, 2], dropped
+    return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
 def _parse_lines(lines: Iterable[str | bytes]) -> Iterator[tuple[int, int, int]]:

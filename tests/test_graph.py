@@ -181,6 +181,7 @@ PARSE_CASES = {
     "ts_above_int64": f"1 2 3\n1 2 {2**63}\n".encode(),
     "ts_below_int64": f"1 2 {-(2**63) - 1}\n".encode(),
     "self_loops": b"3 3 5\n1 2 3\n3 3 6\n2 1 3\n",
+    "self_loop_only_id_beyond_int64": f"{2**64} {2**64} 5\n1 2 3\n".encode(),
     "empty": b"",
     "only_blank": b"\n \n\t\n",
     "ties_keep_input_order": b"5 6 10\n1 2 10\n7 5 9\n",
@@ -282,6 +283,18 @@ def memory_input() -> bytes:
     return b"".join(b"%d %d %d\n" % row for row in zip(u[order].tolist(), v[order].tolist(), t[order].tolist()))
 
 
+def with_self_loops(data: bytes, every: int = 10) -> bytes:
+    """`data` with a self-loop line "src src t" after every `every`-th line,
+    from that line's own src and t."""
+    out = []
+    for i, line in enumerate(data.splitlines(keepends=True), start=1):
+        out.append(line)
+        if i % every == 0:
+            u, _, t = line.split()
+            out.append(b"%s %s %s\n" % (u, u, t))
+    return b"".join(out)
+
+
 class TestArrayParse:
     """The int64 parse of bytes and binary streams against the line loop,
     which decides every input the array parse hands back. `step` is the
@@ -363,54 +376,63 @@ class TestArrayParse:
 
     def test_build_memory_per_edge(self):
         """parse_edge_list on about 60k shuffled edges over sparse ids, each
-        pair repeated 1-5 times: the traced peak and the bytes the built
-        graph keeps, per edge. Measured 118.6 and 69.0 B/edge over five
-        seeds; the ceilings leave less than one more int64 column kept, and
+        pair repeated 1-5 times, and on the same lines with a self-loop line
+        after every tenth, which the build drops: the traced peak and the
+        bytes the built graph keeps, per kept edge. Measured 118.6 and 69.0
+        B/edge over five seeds without the self-loops, 120.9 and 69.0 with
+        them; the ceilings leave less than one more int64 column kept, and
         under 10 B/edge at the peak."""
-        data = memory_input()
-        tracemalloc.start()
-        try:
-            g = parse_edge_list(data)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert g.m + g.self_loops_dropped == data.count(b"\n") > 55000
-        assert peak < 128 * g.m
-        assert kept < 74 * g.m
+        for data, loops in ((memory_input(), 0), (with_self_loops(memory_input()), 6040)):
+            tracemalloc.start()
+            try:
+                g = parse_edge_list(data)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert g.m + g.self_loops_dropped == data.count(b"\n") > 55000
+            assert g.self_loops_dropped == loops
+            assert peak < 128 * g.m
+            assert kept < 74 * g.m
 
     def test_parse_memory_per_edge(self):
         """_parse_array alone on test_build_memory_per_edge's input, and on
-        it with one self-loop line added: the traced peak per edge.
-        Measured 28.0 and 29.1 B/edge: the one int64 buffer of three values
-        per edge and the separators' 3 bytes per line; a transposed copy of
-        the buffer, or a copy of the rows kept when a self-loop is dropped,
-        would add 24."""
+        it with one self-loop line added: the traced peak per line.
+        Measured 27.4 B/line on both: the one int64 buffer of three values
+        per line and the separators' 3 bytes per line; a transposed copy of
+        the buffer, or a copy of the rows without the self-loops, would add
+        24. The self-loops stay in the columns for the build to drop."""
         for data, loops in ((memory_input(), 0), (memory_input() + b"5 5 7\n", 1)):
             tracemalloc.start()
             try:
-                u, v, t, dropped = folty.graph._parse_array(data)
+                u, v, t = folty.graph._parse_array(data)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(t) + dropped == data.count(b"\n") > 55000
-            assert dropped == loops
+            assert len(t) == data.count(b"\n") > 55000
+            assert parse_edge_list(data).self_loops_dropped == loops
             assert peak <= 36 * len(t)
 
-    @pytest.mark.parametrize("block", [1, 2, 5])
-    def test_self_loops_compacted_by_blocks(self, monkeypatch, block):
-        """Rows kept around dropped self-loops move inside the parse buffer
-        BLOCK rows at a time; the graph is the line loop's."""
-        monkeypatch.setattr(folty.graph, "BLOCK", block)
-        rng = random.Random(0x5E1F + block)
+    def test_self_loops_reach_the_build(self):
+        """The array parse keeps self-loops in its columns, and the build
+        drops them: the graph is the line loop's."""
+        rng = random.Random(0x5E1F)
         lines = [b"%d %d %d" % (rng.randrange(5), rng.randrange(5), rng.randrange(9)) for _ in range(60)]
         for data in (PARSE_CASES["self_loops"], b"\n".join(lines) + b"\n", b"1 1 0\n" * 7 + b"1 2 3\n"):
-            assert folty.graph._parse_array(data) is not None
+            assert len(folty.graph._parse_array(data)[2]) == data.count(b"\n")
             assert_parse_matches_loop(data)
 
     def test_ids_beyond_int64_kept_exact(self):
         g = parse_edge_list(PARSE_CASES["ids_from_2_63"])
         assert g.orig == [1, 2**63, 2**64 + 7]
         assert g.edge_lists == ([1, 0, 1], [0, 2, 2], [5, 6, 7])
+
+    def test_id_only_in_a_self_loop_gets_none(self):
+        """An id beyond int64 seen only in a self-loop is ranked with the
+        others by from_edges, but the build drops the loop before it gives
+        ids, so the id is not a vertex."""
+        g = parse_edge_list(PARSE_CASES["self_loop_only_id_beyond_int64"])
+        assert (g.n, g.orig, g.self_loops_dropped) == (2, [1, 2], 1)
+        assert g.edge_lists == ([0], [1], [3])
 
     def test_text_input_matches_bytes(self):
         for data in PARSE_CASES.values():
@@ -610,7 +632,7 @@ def build_corpus():
     rng = random.Random(91)
     base = [(rng.randrange(12), rng.randrange(12), rng.randrange(6)) for _ in range(150)]
     by_time = sorted(base, key=lambda e: e[2])
-    yield "duplicates-and-loops", base + base[:40] + [(3, 3, 1), (7, 7, 0)]
+    yield "duplicates-and-loops", base + base[:40] + [(3, 3, 1), (7, 7, 0), (40, 40, 2)]  # 40 only in a loop
     yield "sorted", by_time
     yield "reverse", by_time[::-1]
     yield "all-equal", [(u, v, 9) for u, v, _ in base]
@@ -630,8 +652,7 @@ class TestBuildOrders:
         monkeypatch.setattr(folty.graph, "ID_TABLE_RATIO", ratio)
         want = {k: (v if isinstance(v, (int, list)) else v.tolist()) for k, v in reference_graph(edges).items()}
         data = "".join(f"{u} {v} {t}\n" for u, v, t in edges).encode()
-        kept = [e for e in edges if e[0] != e[1]]
-        direct = TemporalGraph(*np.array(kept, dtype=np.int64).T, len(edges) - len(kept))
+        direct = TemporalGraph(*np.array(edges, dtype=np.int64).T)
         for g in (parse_edge_list(data), line_loop(data.splitlines()), TemporalGraph.from_edges(edges), direct):
             assert graph_arrays(g) == want
 
@@ -1102,7 +1123,7 @@ class TestIdRemap:
         monkeypatch.setattr(folty.graph, "ID_TABLE_RATIO", ratio)
         u, v, t, labels = columns
         with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as spy:
-            g = TemporalGraph(u.astype(np.int64), v.astype(np.int64), t.astype(np.int64), 0, labels)
+            g = TemporalGraph(u.astype(np.int64), v.astype(np.int64), t.astype(np.int64), labels=labels)
         return g, spy.call_count
 
     def test_table_and_searchsorted_agree(self, monkeypatch):
