@@ -412,14 +412,24 @@ class TestArrayParse:
             assert parse_edge_list(data).self_loops_dropped == loops
             assert peak <= 36 * len(t)
 
-    def test_self_loops_reach_the_build(self):
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_self_loops_compacted_by_blocks(self, monkeypatch, block):
         """The array parse keeps self-loops in its columns, and the build
-        drops them: the graph is the line loop's."""
-        rng = random.Random(0x5E1F)
+        drops them: the graph is the line loop's. The triangles listed in
+        blocks of `block` wedges on its static projection are the
+        brute-force set, none with a vertex twice."""
+        monkeypatch.setattr(folty.graph, "BLOCK", block)
+        rng = random.Random(0x5E1F + block)
         lines = [b"%d %d %d" % (rng.randrange(5), rng.randrange(5), rng.randrange(9)) for _ in range(60)]
         for data in (PARSE_CASES["self_loops"], b"\n".join(lines) + b"\n", b"1 1 0\n" * 7 + b"1 2 3\n"):
             assert len(folty.graph._parse_array(data)[2]) == data.count(b"\n")
             assert_parse_matches_loop(data)
+            s = build_static(parse_edge_list(data))
+            sets = [set(x) for x in s.adj]
+            assert all(u not in sets[u] for u in range(s.n))
+            want = {frozenset((u, v, w)) for u in range(s.n) for v in sets[u] for w in sets[u] & sets[v]}
+            rows = triangle_rows(degeneracy_order(s))
+            assert len(rows) == len(want) and {frozenset(r) for r in rows} == want
 
     def test_ids_beyond_int64_kept_exact(self):
         g = parse_edge_list(PARSE_CASES["ids_from_2_63"])
