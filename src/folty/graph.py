@@ -216,11 +216,21 @@ class TemporalGraph:
         eids = np.flatnonzero(values)
         return eids, _find(self.pair_key, self.src[eids] * self.n + self.dst[eids])
 
+    def _pair_edges(self) -> np.ndarray:
+        """The index of each directed pair's static edge {x, y} in the
+        projection's edge order, which ascends by min * n + max: one unique
+        of those keys with its inverse (the return flag keeps numpy.ma
+        unimported). Computed on each call, not kept."""
+        x, y = np.divmod(self.pair_key, self.n)
+        return np.unique(np.minimum(x, y) * self.n + np.maximum(x, y), return_inverse=True)[1]
+
     def pair_common(self, static: "StaticGraph") -> np.ndarray:
         """|N(x) & N(y)| in `static`, this graph's projection, for each
-        directed pair (x, y), in pair order; built on first use."""
+        directed pair (x, y), in pair order: the common counts gathered by
+        each pair's static edge (_pair_edges), built on first use per
+        projection."""
         if self._common is None or self._common[0] is not static:
-            self._common = (static, static.common_of(*np.divmod(self.pair_key, self.n)))
+            self._common = (static, static.common_counts()[self._pair_edges()])
         return self._common[1]
 
     def entry_pairs(self, ordering: "DegeneracyOrdering") -> tuple[np.ndarray, np.ndarray]:
@@ -268,18 +278,10 @@ class TemporalGraph:
         return len(self.pair(x, y)[0])
 
     def sigma_max(self) -> int:
-        """Max total multiplicity sigma(u,v) + sigma(v,u) over unordered pairs.
-        The reverse keys are sorted before the lookup, since sorted queries
-        search faster; only the max is kept, so nothing is scattered back."""
-        keys = self.pair_key
-        if not len(keys):
-            return 0
-        sizes = np.diff(self.pair_start)
-        x, y = np.divmod(keys, self.n)
-        back = y * self.n + x
-        order = np.argsort(back)
-        j = _find(keys, back[order])
-        return int((sizes[order] + np.where(j >= 0, sizes[j], 0)).max())
+        """Max total multiplicity sigma(u,v) + sigma(v,u) over unordered pairs:
+        one bincount of the pair sizes by static edge (_pair_edges), whose
+        float64 sums are exact below 2**53 edges; 0 for an empty graph."""
+        return int(np.bincount(self._pair_edges(), np.diff(self.pair_start)).max(initial=0))
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
@@ -495,7 +497,9 @@ class StaticGraph:
     first use, for the oracle, the practical engine and tests.
     Common-neighbor counts, the triangles on each edge, are one int64 array
     aligned with the edge columns, built on first use from the triangle
-    entries of the last ordering degeneracy_order built for this graph.
+    entries of the last ordering degeneracy_order built for this graph:
+    each static edge is exactly one orientation entry, so the entries'
+    credits reach edge order by one argsort.
     """
 
     def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
@@ -534,29 +538,30 @@ class StaticGraph:
         number of triangles on the edge.
 
         One bincount credits each triangle of triangle_entries to its three
-        orientation entries, and one searchsorted finds the static edge
-        {min(x, y), max(x, y)} of each entry x -> y to scatter the credits
-        to edge order. The ordering is the last one degeneracy_order built
-        for this graph, or a new one if there is none; every ordering lists
-        the same triangles, so the counts do not depend on which.
+        orientation entries. Each static edge {x, y} is exactly one entry,
+        so the argsort of the entries' keys min(x, y) * n + max(x, y) lists
+        them in edge order, and gathers the credits there. The ordering is
+        the last one degeneracy_order built for this graph, or a new one if
+        there is none; every ordering lists the same triangles, so the
+        counts do not depend on which.
         """
         if self._common is None:
             o = self._ordering if self._ordering is not None else degeneracy_order(self)
             n, head = self.n, o.out_nbr
             tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(o.out_start))
-            keys = np.minimum(tail, head) * n + np.maximum(tail, head)
-            self._common = np.empty(len(head), dtype=np.int64)
-            self._common[np.searchsorted(self.edge_u * n + self.edge_v, keys)] = np.bincount(
-                np.concatenate(o.triangle_entries()), minlength=len(head)
-            )
+            order = np.argsort(np.minimum(tail, head) * n + np.maximum(tail, head))
+            self._common = np.bincount(np.concatenate(o.triangle_entries()), minlength=len(head))[order]
         return self._common
 
     def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}."""
+        """|N(u[i]) & N(v[i])| for static edges {u[i], v[i]}; ValueError
+        names the first pair that is not a static edge."""
         n = self.n
-        return self.common_counts()[
-            np.searchsorted(self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v))
-        ]
+        keys, q = self.edge_u * n + self.edge_v, np.minimum(u, v) * n + np.maximum(u, v)
+        i = np.searchsorted(keys, q)
+        if (miss := np.append(keys, -1)[i] != q).any():  # the -1 stands past the last key
+            raise ValueError(f"({u[miss.argmax()]}, {v[miss.argmax()]}) is not a static edge")
+        return self.common_counts()[i]
 
     def sum_edge_degree(self) -> int:
         """The sum over static edges (u, v) of min(degree[u], degree[v])."""
@@ -657,10 +662,8 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
         parts.append(batch)
         alive[batch] = False
         hit = nbr[_entries(start, batch)[0]]
-        hit = np.sort(hit[alive[hit]])
-        first = np.flatnonzero(np.diff(hit, prepend=-1))
-        touched = hit[first]
-        deg[touched] -= np.diff(first, append=len(hit))
+        touched, drop = np.unique(hit[alive[hit]], return_counts=True)
+        deg[touched] -= drop
         batch = touched[deg[touched] <= k]
     order = np.concatenate(parts)
     ranks = np.empty(n, dtype=np.int64)

@@ -151,6 +151,7 @@ class QuerySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", validate_kind(self.kind))
+        object.__setattr__(self, "universe", _universe(self.universe))
         _check_tau(self.tau)
         if self.kind == "eaa":
             if self.tau2 is None:
@@ -171,6 +172,14 @@ def validate_kind(kind: str) -> str:
             "an existential-prefix query (eea, eae, or eaa)"
         )
     raise ParameterError(f"unknown query kind {kind!r}; expected eea, eae, or eaa")
+
+
+def _universe(universe: Universe | str) -> Universe:
+    """universe as a Universe member: the member itself or its value."""
+    try:
+        return Universe(universe)
+    except ValueError:
+        raise ParameterError(f"unknown universe {universe!r}; expected dst or common") from None
 
 
 _PERCENT = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*%\s*$")
@@ -235,11 +244,13 @@ def _least(tau: Fraction, sizes: np.ndarray, floor: int) -> np.ndarray:
 
 
 def _pair_sizes(
-    g: TemporalGraph, static: StaticGraph, universe: Universe, pairs: np.ndarray | slice = slice(None)
+    g: TemporalGraph, static: StaticGraph, universe: Universe | str, pairs: np.ndarray | slice = slice(None)
 ) -> np.ndarray:
     """Universe size of each directed pair (x, y) of `pairs` (pair ids, all
-    by default): degree[y], or the common count of static edge {x, y}."""
-    if universe is Universe.DST:
+    by default): degree[y], or the common count of static edge {x, y}.
+    universe is a Universe member or its value; anything else raises
+    ParameterError."""
+    if _universe(universe) is Universe.DST:
         return np.diff(static.adj_start)[g.pair_key[pairs] % g.n]
     return g.pair_common(static)[pairs]
 
@@ -249,7 +260,7 @@ def eval_eea(
     static: StaticGraph,
     counts: CountTable | Sequence[int],
     tau: Fraction,
-    universe: Universe = Universe.DST,
+    universe: Universe | str = Universe.DST,
 ) -> SolutionSet:
     """Certificate edges (u, v, t) with count >= 1 and count >= tau * |U|:
     only the edges with a non-zero total are thresholded."""
@@ -296,7 +307,7 @@ def eval_eaa(
     counts: CountTable | Sequence[int],
     tau1: Fraction,
     tau2: Fraction,
-    universe: Universe = Universe.DST,
+    universe: Universe | str = Universe.DST,
 ) -> SolutionSet:
     """Vertices u with >= tau1 * |N(u)| neighbors v that carry some
     level-tau2 certificate edge u -> v: eae over the pairs whose largest
@@ -359,7 +370,7 @@ def practical_eea(
     static: StaticGraph,
     delta: int,
     tau: Fraction,
-    universe: Universe = Universe.DST,
+    universe: Universe | str = Universe.DST,
 ) -> SolutionSet:
     """Baseline end-to-end eea: practical counting plus the shared threshold."""
     counts = practical_counts(g, static, delta)

@@ -135,6 +135,27 @@ class TestIntervalSet:
             want = brute_case(probes, ts2, ts3, delta)
             assert interval_hits(ts2, ts3, delta, probes) == want
 
+    def test_yielded_ranges_are_not_emptied_by_the_window(self):
+        """_in_ranges yields only the ranges its window `last` does not
+        empty: lo < hi, where lo is the larger of floor and the target
+        pair's key of the first timestamp at or after t3 - last. Counted
+        without a clock."""
+        rng = random.Random(0x1A)
+        ranges = 0
+        for _ in range(60):
+            g = random_temporal_graph(rng, max_vertices=12, max_edges=200)
+            ordering = degeneracy_order(build_static(g))
+            bounds = g.pair_ts[g.pair_start[:-1]], g.pair_ts[g.pair_start[1:] - 1]
+            r = len(g.t_distinct)
+            for window in (0, 1, 5, 30):
+                last = np.uint64(window)
+                for floor, hi, t3 in folty.engine._in_ranges(g, ordering, bounds, last):
+                    cut = np.searchsorted(g.t_distinct, folty.engine._minus(t3, last))
+                    lo = np.maximum(floor, floor // r * r + cut)
+                    assert (lo < hi).all(), window
+                    ranges += len(hi)
+        assert ranges > 1000, ranges
+
 
 class TestPasses:
     def test_out_pass_triangle(self):

@@ -725,17 +725,60 @@ class TestStatic:
         for _ in range(10):
             check_common_counts(build_static(random_temporal_graph(rng, max_vertices=20, max_edges=120)))
 
+    @pytest.mark.parametrize("u, v", [(1, 3), (3, 3), (0, 0), (0, 4), (3, 4), (4, 0)])
+    def test_common_of_refuses_non_edges(self, u, v):
+        """A pair that is not a static edge raises, named, instead of
+        reading another edge's count or the end of the array; (3, 4)
+        searches past the last key."""
+        s = build_static(parse_edge_list(b"0 1 1\n1 2 2\n0 2 3\n2 3 4\n"))
+        assert s.common_of(np.array([0, 2]), np.array([2, 3])).tolist() == [1, 0]
+        with pytest.raises(ValueError, match=rf"^\({u}, {v}\) is not a static edge$"):
+            s.common_of(np.array([0, u, 1]), np.array([1, v, 3]))
+
+    def test_common_of_on_the_empty_graph(self):
+        s = build_static(TemporalGraph.from_edges([]))
+        assert s.common_of(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)).tolist() == []
+        with pytest.raises(ValueError, match="is not a static edge"):
+            s.common_of(np.array([0]), np.array([1]))
+
+    def test_pair_common_matches_definition(self):
+        """Each directed pair's common count, through its static edge: on
+        random graphs of reciprocal pairs of unequal multiplicity and
+        one-way pairs, and on the empty graph."""
+        rng = random.Random(29)
+        graphs, reciprocal, one_way = [TemporalGraph.from_edges([])], 0, 0
+        for _ in range(40):
+            n = rng.randint(2, 25)
+            mult = {}
+            for _ in range(rng.randint(1, 90)):
+                mult[tuple(rng.sample(range(n), 2))] = rng.randint(1, 5)
+            reciprocal += sum(mult.get((y, x), k) != k for (x, y), k in mult.items())
+            one_way += sum((y, x) not in mult for x, y in mult)
+            graphs.append(TemporalGraph.from_edges([(x, y, rng.randrange(60)) for (x, y), k in mult.items() for _ in range(k)]))
+        assert reciprocal and one_way
+        for g in graphs:
+            s = build_static(g)
+            got = g.pair_common(s)
+            x, y = np.divmod(g.pair_key, g.n)
+            sets = s.adj_sets
+            assert got.tolist() == [len(sets[a] & sets[b]) for a, b in zip(x.tolist(), y.tolist())]
+            assert got.tolist() == s.common_of(x, y).tolist()
+            assert g.pair_common(s) is got
+
 
 def check_common_counts(s):
     """common_counts of copies of s against brute force: with no ordering
     built, after one degeneracy_order and after two. The counts come from
-    the last ordering's triangle entries, or from one common_counts builds."""
+    the last ordering's triangle entries, or from one common_counts builds.
+    common_of reads the same counts for the edges, either way round."""
     sets = [set(a) for a in s.adj]
     want = [len(sets[u] & sets[v]) for u, v in s.edges]
     for built in range(3):
         fresh = StaticGraph(s.n, s.adj_start, s.adj_nbr)
         orderings = [degeneracy_order(fresh) for _ in range(built)]
         assert fresh.common_counts().tolist() == want
+        assert fresh.common_of(fresh.edge_u, fresh.edge_v).tolist() == want
+        assert fresh.common_of(fresh.edge_v, fresh.edge_u).tolist() == want
         assert fresh._ordering._triangle_entries is not None
         if orderings:
             assert fresh._ordering is orderings[-1]

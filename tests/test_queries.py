@@ -116,6 +116,49 @@ class TestKinds:
         assert QuerySpec("EEA", 10, Fraction(1, 2)).kind == "eea"
 
 
+class TestUniverseValues:
+    """A universe is a Universe member or its value; anything else is
+    refused, not read as the common universe."""
+
+    EDGES = [(0, 1, 1), (0, 2, 2), (1, 2, 3), (1, 0, 4), (2, 3, 5), (3, 1, 6), (0, 3, 7), (3, 0, 8)]
+    HALF = Fraction(1, 2)
+
+    def answers(self, universe):
+        g = TemporalGraph.from_edges(self.EDGES)
+        static, counts = prepared(g, 100)
+        eea = QuerySpec("eea", 100, self.HALF, universe=universe)
+        eaa = QuerySpec("eaa", 100, Fraction(1, 4), tau2=self.HALF, universe=universe)
+        return (
+            eval_eea(g, static, counts, self.HALF, universe),
+            eval_eaa(g, static, counts, Fraction(1, 4), self.HALF, universe),
+            oracle_solutions(g, 100, eea, static),
+            oracle_solutions(g, 100, eaa, static),
+        )
+
+    def test_value_answers_as_member(self):
+        totals = {}
+        for member in Universe:
+            assert self.answers(member.value) == self.answers(member)
+            totals[member] = [s.total for s in self.answers(member)]
+        assert totals == {Universe.DST: [0, 0, 0, 0], Universe.COMMON: [1, 1, 1, 1]}
+
+    def test_queryspec_stores_the_member(self):
+        assert QuerySpec("eea", 10, self.HALF, universe="common").universe is Universe.COMMON
+        assert QuerySpec("eea", 10, self.HALF, universe="dst") == QuerySpec("eea", 10, self.HALF)
+
+    @pytest.mark.parametrize("bad", ["bogus", "DST", None, 0])
+    def test_unknown_universe_refused(self, bad):
+        g = TemporalGraph.from_edges(self.EDGES)
+        static, counts = prepared(g, 100)
+        for call in (
+            lambda: eval_eea(g, static, counts, self.HALF, bad),
+            lambda: eval_eaa(g, static, counts, self.HALF, self.HALF, bad),
+            lambda: QuerySpec("eea", 100, self.HALF, universe=bad),
+        ):
+            with pytest.raises(ParameterError, match="unknown universe .*; expected dst or common"):
+                call()
+
+
 class TestTableLength:
     def test_wrong_length_refused(self):
         g = tiny_triangle()

@@ -95,7 +95,7 @@ def test_threshold_state_charged_to_first_rows(graph_path, monkeypatch, engine):
     temporal, static = folty.graph.TemporalGraph, folty.graph.StaticGraph
     monkeypatch.setattr(temporal, "pair_max", slow(temporal.pair_max, 100.0))
     monkeypatch.setattr(temporal, "nonzero_edges", slow(temporal.nonzero_edges, 100.0))
-    monkeypatch.setattr(static, "common_of", slow(static.common_of, 10_000.0))
+    monkeypatch.setattr(static, "common_counts", slow(static.common_counts, 10_000.0))
     for kind in ("eaa", "eea"):
         rows, _ = run_sweep(graph_path, kind, DELTAS, TAUS, Fraction(1, 3), Universe.COMMON, engine)
         elapsed = [r["elapsed_ms"] for r in rows]
