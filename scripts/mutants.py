@@ -1,5 +1,5 @@
 """Mutation check for the parse, the build, the graph layer's groupings and
-the engines' window and bound logic.
+gathers, and the engines' window, bound and lap logic.
 
 Each mutant replaces one exact text in one source file. For each, the
 script copies src/, tests/, pyproject.toml and README.md to a temporary
@@ -104,8 +104,6 @@ MUTANTS = [
         "except ():",
         "parse: np.fromstring's errors send the input to the line loop",
         PARSE_TESTS,
-        "on numpy 2.x no input that passes the separator check makes np.fromstring raise or warn;"
-        " the except is kept for numpy 1.x",
     ),
     Mutant(
         GRAPH,
@@ -244,15 +242,43 @@ MUTANTS = [
         GRAPH,
         "np.unique(np.minimum(x, y) * self.n + np.maximum(x, y), return_inverse=True)",
         "np.unique(x * self.n + y, return_inverse=True)",
-        "_pair_edges: both directions of a pair map to its one static edge",
+        "_pair_groups: both directions of a pair group under its one static edge",
         PARSE_TESTS,
     ),
     Mutant(
         GRAPH,
-        "minlength=len(head))[order]",
-        "minlength=len(head))",
-        "common_counts: the entries' credits are gathered into edge order",
+        "slots[2 * self._pair_groups[1] + (x > y)]",
+        "slots[2 * self._pair_groups[1] + (x < y)]",
+        "entry_pairs: a pair max -> min takes its edge's second slot",
         PARSE_TESTS,
+    ),
+    Mutant(
+        GRAPH,
+        "(tail > ordering.out_nbr)",
+        "(tail < ordering.out_nbr)",
+        "entry_pairs: an entry max -> min reads its edge's second slot",
+        PARSE_TESTS,
+    ),
+    Mutant(
+        GRAPH,
+        "slots[fwd ^ 1]",
+        "slots[fwd]",
+        "entry_pairs: the reverse pair is the edge's other slot",
+        PARSE_TESTS,
+    ),
+    Mutant(
+        GRAPH,
+        "np.bincount(o.entry_edge[np.concatenate(o.triangle_entries())]",
+        "np.bincount(np.concatenate(o.triangle_entries())",
+        "common_counts: the entries' credits go to their static edges",
+        PARSE_TESTS,
+    ),
+    Mutant(
+        ENGINE,
+        "    ordering.triangle_entries()\n    g.entry_pairs(ordering)",
+        "    g.entry_pairs(ordering)",
+        "count_tables: the triangle listing is timed in the triangles lap",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         GRAPH,

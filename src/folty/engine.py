@@ -22,9 +22,11 @@ entry by entry.
 Both passes are vectorized over the graph's CSR pair layout. A job names its
 lists by pair id; every chained lookup is one np.searchsorted on the
 composite key pair_id * R + t_rank (TemporalGraph.pair_comp). The pair ids
-of x -> y and y -> x are found once per (graph, ordering) for each entry
-x -> y that a triangle uses (TemporalGraph.entry_pairs), so a triangle's
-six directed pair ids are gathers by its entries. One generator (_expand)
+of x -> y and y -> x are gathered once per (graph, ordering) for every
+entry x -> y, through the static edge it lies on (TemporalGraph.entry_pairs),
+so a triangle's six directed pair ids are gathers by its entries.
+count_tables lists the triangles, then builds that map, inside its
+"triangles" lap. One generator (_expand)
 serves both passes: it slices the entry columns BLOCK triangles at a time
 into jobs and expands one list of each job (the out side's L1, the in
 side's L2) in blocks of about BLOCK entries through _blocks and _entries,
@@ -87,12 +89,15 @@ class CountTable:
 
     in_array, out_array and totals_array are int64 arrays indexed by edge
     id. in_count, out_count and totals() give the same as lists of Python
-    ints, built on first use.
+    ints, built on first use. The two columns must be 1-D and of equal
+    length, else ValueError: numpy would broadcast them.
     """
 
     def __init__(self, in_count: Sequence[int], out_count: Sequence[int], delta: int):
         self.in_array = np.asarray(in_count, dtype=np.int64)
         self.out_array = np.asarray(out_count, dtype=np.int64)
+        if self.in_array.ndim != 1 or self.in_array.shape != self.out_array.shape:
+            raise ValueError(f"count columns must be 1-D, equally long: {self.in_array.shape}, {self.out_array.shape}")
         self.totals_array = self.in_array + self.out_array
         self.delta = delta
         self._pair_max: np.ndarray | None = None
@@ -419,7 +424,8 @@ def count_tables(
 
     Deltas may repeat and come in any order; deltas that clamp to the same
     window share one table's arrays. `lap`, if given, is called once each
-    with "triangles", "out_pass" and "in_pass" as each phase ends.
+    with "triangles", "out_pass" and "in_pass" as each phase ends; the
+    triangle listing and the entry-to-pair map are built in the first.
     """
     deltas = list(deltas)
     if not deltas:
@@ -428,6 +434,7 @@ def count_tables(
     if ordering is None:
         ordering = degeneracy_order(build_static(g) if static is None else static)
     lap = lap or (lambda phase: None)
+    ordering.triangle_entries()
     g.entry_pairs(ordering)
     lap("triangles")
     outs = _counts(g, ordering, windows, _out_hits, _fold)

@@ -34,6 +34,12 @@ vertex (Chiba and Nishizeki), looking up only the wedges whose second head
 is ranked above the first (Schank and Wagner).
 Each degeneracy ordering lists its triangles once, and both the count
 passes and the common counts read that list.
+
+Each unordered pair {x, y} is one static edge, one orientation entry and at
+most two directed pairs. Two kept indexes hold that correspondence: the
+graph groups its directed pairs by static edge once (_pair_groups), and
+each ordering keeps the static edge of each orientation entry (entry_edge).
+So every map between pairs, edges and entries is a gather or a bincount.
 """
 
 from __future__ import annotations
@@ -216,45 +222,38 @@ class TemporalGraph:
         eids = np.flatnonzero(values)
         return eids, _find(self.pair_key, self.src[eids] * self.n + self.dst[eids])
 
-    def _pair_edges(self) -> np.ndarray:
-        """The index of each directed pair's static edge {x, y} in the
-        projection's edge order, which ascends by min * n + max: one unique
-        of those keys with its inverse (the return flag keeps numpy.ma
-        unimported). Computed on each call, not kept."""
+    @cached_property
+    def _pair_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, edge): the static edges' keys min * n + max, ascending, the
+        projection's edge order, and the index there of each directed pair's
+        edge {x, y}; one unique with its inverse (the return flag keeps
+        numpy.ma unimported)."""
         x, y = np.divmod(self.pair_key, self.n)
-        return np.unique(np.minimum(x, y) * self.n + np.maximum(x, y), return_inverse=True)[1]
+        return np.unique(np.minimum(x, y) * self.n + np.maximum(x, y), return_inverse=True)
 
     def pair_common(self, static: "StaticGraph") -> np.ndarray:
         """|N(x) & N(y)| in `static`, this graph's projection, for each
         directed pair (x, y), in pair order: the common counts gathered by
-        each pair's static edge (_pair_edges), built on first use per
-        projection."""
+        each pair's static edge, kept per projection."""
         if self._common is None or self._common[0] is not static:
-            self._common = (static, static.common_counts()[self._pair_edges()])
+            self._common = (static, static.common_counts()[self._pair_groups[1]])
         return self._common[1]
 
     def entry_pairs(self, ordering: "DegeneracyOrdering") -> tuple[np.ndarray, np.ndarray]:
         """(fwd, bwd): the pair ids of x -> y and of y -> x for each entry
         x -> y of the orientation of `ordering`, an ordering of this graph's
-        projection, indexed by entry; -1 where the pair has no edge or no
-        triangle uses the entry. Built on first use per ordering, by two
-        sorted-key lookups over the used entries. The entries ascend by
-        (x, y); the reverse keys are sorted first, since sorted queries
-        search faster."""
+        projection, indexed by entry; -1 where the pair has no edge. Built
+        on first use per ordering, by gathers: static edge s holds slot 2s
+        for its pair min -> max and 2s + 1 for max -> min, so an entry on
+        edge s = entry_edge[e] reads x -> y at 2s + (x > y) and y -> x at the
+        other slot."""
         if self._entry_pairs is None or self._entry_pairs[0] is not ordering:
-            start, head = ordering.out_start, ordering.out_nbr
-            used = np.zeros(len(head), dtype=bool)
-            for column in ordering.triangle_entries():
-                used[column] = True
-            e = np.flatnonzero(used)
-            x, y = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(start))[e], head[e]
-            fwd = np.full(len(head), -1, dtype=np.int64)
-            bwd = fwd.copy()
-            fwd[e] = _find(self.pair_key, x * self.n + y)
-            back = y * self.n + x
-            order = np.argsort(back)
-            bwd[e[order]] = _find(self.pair_key, back[order])
-            self._entry_pairs = (ordering, fwd, bwd)
+            x, y = np.divmod(self.pair_key, self.n)
+            slots = np.full(2 * len(ordering.out_nbr), -1, dtype=np.int64)
+            slots[2 * self._pair_groups[1] + (x > y)] = np.arange(len(x))
+            tail = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(ordering.out_start))
+            fwd = 2 * ordering.entry_edge + (tail > ordering.out_nbr)
+            self._entry_pairs = (ordering, slots[fwd], slots[fwd ^ 1])
         return self._entry_pairs[1:]
 
     @cached_property
@@ -279,9 +278,9 @@ class TemporalGraph:
 
     def sigma_max(self) -> int:
         """Max total multiplicity sigma(u,v) + sigma(v,u) over unordered pairs:
-        one bincount of the pair sizes by static edge (_pair_edges), whose
+        one bincount of the pair sizes by static edge (_pair_groups), whose
         float64 sums are exact below 2**53 edges; 0 for an empty graph."""
-        return int(np.bincount(self._pair_edges(), np.diff(self.pair_start)).max(initial=0))
+        return int(np.bincount(self._pair_groups[1], np.diff(self.pair_start)).max(initial=0))
 
 
 def parse_edge_list(data: str | bytes | IO) -> TemporalGraph:
@@ -498,8 +497,8 @@ class StaticGraph:
     Common-neighbor counts, the triangles on each edge, are one int64 array
     aligned with the edge columns, built on first use from the triangle
     entries of the last ordering degeneracy_order built for this graph:
-    each static edge is exactly one orientation entry, so the entries'
-    credits reach edge order by one argsort.
+    each static edge is exactly one orientation entry, and the ordering's
+    entry_edge names it.
     """
 
     def __init__(self, n: int, adj_start: np.ndarray, adj_nbr: np.ndarray):
@@ -537,20 +536,15 @@ class StaticGraph:
         """|N(u) & N(v)| for every static edge (u, v), in edge order: the
         number of triangles on the edge.
 
-        One bincount credits each triangle of triangle_entries to its three
-        orientation entries. Each static edge {x, y} is exactly one entry,
-        so the argsort of the entries' keys min(x, y) * n + max(x, y) lists
-        them in edge order, and gathers the credits there. The ordering is
-        the last one degeneracy_order built for this graph, or a new one if
-        there is none; every ordering lists the same triangles, so the
-        counts do not depend on which.
+        One bincount credits each triangle of triangle_entries to the
+        static edges of its three orientation entries, which the ordering's
+        entry_edge gathers. The ordering is the last one degeneracy_order
+        built for this graph, or a new one if there is none; every ordering
+        lists the same triangles, so the counts do not depend on which.
         """
         if self._common is None:
             o = self._ordering if self._ordering is not None else degeneracy_order(self)
-            n, head = self.n, o.out_nbr
-            tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(o.out_start))
-            order = np.argsort(np.minimum(tail, head) * n + np.maximum(tail, head))
-            self._common = np.bincount(np.concatenate(o.triangle_entries()), minlength=len(head))[order]
+            self._common = np.bincount(o.entry_edge[np.concatenate(o.triangle_entries())], minlength=len(self.edge_u))
         return self._common
 
     def common_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -570,11 +564,11 @@ class StaticGraph:
 
 
 def build_static(g: TemporalGraph) -> StaticGraph:
-    """Erase directions, timestamps, and multiplicities."""
-    n = g.n
-    x, y = np.divmod(g.pair_key, n)
-    keys = np.sort(np.concatenate((x * n + y, y * n + x)))
-    u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    """Erase directions, timestamps, and multiplicities: the CSR of g's
+    static edge keys (_pair_groups), each edge both ways round."""
+    n, keys = g.n, g._pair_groups[0]
+    x, y = np.divmod(keys, n)
+    u, v = np.divmod(np.sort(np.concatenate((keys, y * n + x))), n)
     return StaticGraph(n, np.searchsorted(u, np.arange(n + 1)), v)
 
 
@@ -587,15 +581,21 @@ class DegeneracyOrdering:
     the degeneracy, the largest residual degree seen at any removal. The
     orientation points each static edge from its lower-rank endpoint to the
     other, in CSR form: u's out-neighbors are
-    out_nbr[out_start[u]:out_start[u + 1]], ascending by id.
+    out_nbr[out_start[u]:out_start[u + 1]], ascending by id. entry_edge[e]
+    is the static edge of entry e, its index in the projection's edge
+    columns.
     """
 
-    def __init__(self, pi: np.ndarray, order: np.ndarray, alpha: int, out_start: np.ndarray, out_nbr: np.ndarray):
+    def __init__(
+        self, pi: np.ndarray, order: np.ndarray, alpha: int,
+        out_start: np.ndarray, out_nbr: np.ndarray, entry_edge: np.ndarray,
+    ):
         self._pi = pi
         self._order = order
         self.alpha = alpha
         self.out_start = out_start
         self.out_nbr = out_nbr
+        self.entry_edge = entry_edge
         self._triangle_entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @cached_property
@@ -634,7 +634,8 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     Zaversnik) one batch at a time, O(n * levels + m log m). Batches of
     PEEL_BATCH vertices or more run as array operations, smaller ones in
     _peel_loop; the order does not depend on which. The orientation then
-    points each static edge to its higher-rank endpoint. The new ordering is
+    points each static edge to its higher-rank endpoint; the argsort that
+    orders the entries is each entry's static edge. The new ordering is
     recorded on `static` for common_counts; each call builds a fresh one.
     """
     n, start, nbr = static.n, static.adj_start, static.adj_nbr
@@ -670,8 +671,10 @@ def degeneracy_order(static: StaticGraph) -> DegeneracyOrdering:
     ranks[order] = np.arange(n)
     u, v = static.edge_u, static.edge_v
     up = ranks[u] < ranks[v]
-    tail, out_nbr = np.divmod(np.sort(np.where(up, u, v) * n + np.where(up, v, u)), n)
-    static._ordering = DegeneracyOrdering(ranks, order, k, np.searchsorted(tail, np.arange(n + 1)), out_nbr)
+    keys = np.where(up, u, v) * n + np.where(up, v, u)
+    entry_edge = np.argsort(keys)
+    tail, out_nbr = np.divmod(keys[entry_edge], n)
+    static._ordering = DegeneracyOrdering(ranks, order, k, np.searchsorted(tail, np.arange(n + 1)), out_nbr, entry_edge)
     return static._ordering
 
 

@@ -416,7 +416,8 @@ class TestSweep:
 
         monkeypatch.setattr(folty.graph.DegeneracyOrdering, "triangle_entries", counting)
         run_sweep(richer_path, "eea", deltas=[10, 60, 300], taus=[_tau("0.5")])
-        # Built once, by the pair-id lookup, then read once by each pass.
+        # Listed once, by count_tables in its triangles lap, then read once
+        # by each pass.
         assert calls == [True, False, False]
 
     def test_empty_grid_usage_error(self, richer_path, capsys):
@@ -510,6 +511,69 @@ class TestOneTriangleListing:
 
         run_query(richer_path, "eea", 20, _tau("0.5"), universe=Universe.COMMON, engine=engine)
         assert len(listings) == 1
+
+
+class TestOnePairGrouping:
+    """A graph groups its directed pairs by static edge once: the static
+    projection, the entry-to-pair map, the common universe and sigma_max
+    read that one grouping."""
+
+    def test_query_over_common_universe(self, richer_path, monkeypatch):
+        from functools import cached_property
+
+        from folty.graph import TemporalGraph
+        from folty.queries import Universe
+
+        calls = []
+        group = TemporalGraph._pair_groups.func
+
+        def counting(g):
+            calls.append(g)
+            return group(g)
+
+        spy = cached_property(counting)
+        spy.__set_name__(TemporalGraph, "_pair_groups")
+        monkeypatch.setattr(TemporalGraph, "_pair_groups", spy)
+        report = run_query(richer_path, "eea", 20, _tau("0.5"), universe=Universe.COMMON)
+        assert report["graph"]["sigma_max"] == 3
+        assert len(calls) == 1
+
+
+class TestTrianglesLap:
+    """The triangle listing's time lands in the triangles lap, not in the
+    passes that read the listing: a fake clock advances 1000 s while
+    _closed_wedges runs, and 1 ms per read otherwise."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import folty.cli
+        import folty.graph
+
+        now = [0.0]
+
+        def perf_counter():
+            now[0] += 0.001
+            return now[0]
+
+        closed_wedges = folty.graph._closed_wedges
+
+        def slow(*args):
+            now[0] += 1000.0
+            return closed_wedges(*args)
+
+        monkeypatch.setattr(folty.cli.time, "perf_counter", perf_counter)
+        monkeypatch.setattr(folty.graph, "_closed_wedges", slow)
+
+    def test_query(self, richer_path, clock):
+        ms = run_query(richer_path, "eea", 20, _tau("0.25"))["timings_ms"]
+        assert ms["triangles"] >= 1e6
+        assert all(ms[phase] < 1e6 for phase in ms if phase != "triangles")
+
+    def test_sweep(self, richer_path, clock):
+        _, meta = run_sweep(richer_path, "eea", deltas=[10, 60], taus=[_tau("0.5")])
+        first = meta["count_runs"][0]
+        assert first["triangles_ms"] >= 1e6
+        assert first["out_pass_ms"] < 1e6 and first["in_pass_ms"] < 1e6
 
 
 class TestLazyImports:

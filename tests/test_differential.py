@@ -414,6 +414,7 @@ def test_count_tables_memory_is_the_tables(monkeypatch):
     g = TemporalGraph.from_edges(zip(u[keep].tolist(), v[keep].tolist(), t[keep].tolist()))
     static = build_static(g)
     ordering = degeneracy_order(static)
+    ordering.triangle_entries()
     g.entry_pairs(ordering)
     deltas = list(range(0, 5000, 170))
     monkeypatch.setattr(folty.engine, "KEY_CAP", 4 * g.m)

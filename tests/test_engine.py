@@ -329,6 +329,16 @@ class TestOracleEquivalence:
     def test_count_table_totals(self):
         ct = CountTable([1, 0], [2, 3], 5)
         assert ct.totals() == [3, 3]
+        assert CountTable([], [], 5).totals() == []
+
+    @pytest.mark.parametrize(
+        "in_count, out_count",
+        [([1], [2, 3]), ([1, 2], [3]), ([], [1]), (1, 2), ([[1, 2]], [[3, 4]]), ([1, 2], [[3, 4]])],
+    )
+    def test_count_table_refuses_columns_numpy_would_broadcast(self, in_count, out_count):
+        # ([1], [2, 3]) once gave totals [3, 4] beside an in column of length 1.
+        with pytest.raises(ValueError, match="1-D"):
+            CountTable(in_count, out_count, 5)
 
 
 class TestOrderingCache:

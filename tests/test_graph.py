@@ -4,6 +4,7 @@ import heapq
 import io
 import random
 import tracemalloc
+import warnings
 from itertools import chain
 from unittest import mock
 
@@ -314,6 +315,25 @@ class TestArrayParse:
         with pytest.raises(ParseError) as err:
             parse_edge_list(NonSeekable(data, step))
         assert err.value.lineno == 151
+
+    @pytest.mark.parametrize("failure", ["raises", "warns"])
+    def test_fromstring_failure_takes_the_line_loop(self, monkeypatch, failure):
+        """np.fromstring raising ValueError, or warning DeprecationWarning as
+        numpy 1.x does on text it cannot read to its end, sends canonical
+        input to the line loop, which gives the graph."""
+        data = b"1 2 3\n4 5 6\n7 7 8\n2 1 9\n"
+        want = loop_outcomes(data)
+
+        def failing(*args, **kwargs):
+            if failure == "raises":
+                raise ValueError("string size must be a multiple of element size")
+            warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+            return np.zeros(0, dtype=np.int64)
+
+        monkeypatch.setattr(np, "fromstring", failing)
+        calls = count_line_loop(monkeypatch)
+        assert (parse_outcome(parse_edge_list, data), parse_outcome(parse_edge_list, io.BytesIO(data))) == want
+        assert want[0][0] == "graph" and len(calls) == 2
 
     def test_clean_input_skips_line_loop(self, monkeypatch):
         # Blank lines, runs of spaces and tabs, whitespace at either end of
@@ -870,6 +890,13 @@ class TestOrientation:
             assert o.out_nbr.tolist() == [v for a in want for v in a]
             assert o.out_start.dtype == o.out_nbr.dtype == np.int64
 
+    def test_entry_edge_names_each_entry_static_edge(self):
+        for s in static_corpus(67):
+            o = degeneracy_order(s)
+            entries = [(min(x, y), max(x, y)) for x, nbrs in enumerate(out_lists(o)) for y in nbrs]
+            assert [s.edges[i] for i in o.entry_edge.tolist()] == entries
+            assert sorted(o.entry_edge.tolist()) == list(range(len(s.edges)))
+
 
 def old_oriented_triangles(ordering):
     """The (a, b, cs) sequence of the list intersection the arrays replace."""
@@ -921,21 +948,28 @@ class TestTriangles:
             assert rows == [(a, b, c) for a, b, cs in oriented_triangles(s, o) for c in cs]
 
 
+def brute_entry_pairs(g, o):
+    """(pair id of x -> y, pair id of y -> x) for each orientation entry
+    x -> y, -1 where the pair has no edge, from a dict of the pair keys."""
+    pid = {divmod(key, g.n): p for p, key in enumerate(g.pair_key.tolist())}
+    return [(pid.get((x, y), -1), pid.get((y, x), -1)) for x, nbrs in enumerate(out_lists(o)) for y in nbrs]
+
+
 class TestEntryPairs:
     """TemporalGraph.entry_pairs: the pair ids of both directions of each
-    oriented edge a triangle uses, cached per ordering."""
+    oriented edge, cached per ordering."""
 
     def test_matches_pair_keys(self):
+        # One-way pairs, read from either end of their entry, and reciprocal
+        # pairs of unequal multiplicity, then random graphs.
+        edges = [(1, 2, 1), (2, 1, 2), (2, 1, 3), (2, 3, 4), (3, 2, 5), (3, 2, 6), (1, 3, 7), (4, 1, 8), (3, 4, 9)]
         rng = random.Random(69)
-        for _ in range(30):
-            g = random_temporal_graph(rng, max_vertices=14, max_edges=90)
+        graphs = [TemporalGraph.from_edges(edges)]
+        graphs += [random_temporal_graph(rng, max_vertices=14, max_edges=90) for _ in range(30)]
+        for g in graphs:
             o = degeneracy_order(build_static(g))
             fwd, bwd = g.entry_pairs(o)
-            used = set(np.concatenate(o.triangle_entries()).tolist())
-            pid = {divmod(key, g.n): p for p, key in enumerate(g.pair_key.tolist())}
-            for e, (x, y) in enumerate((u, v) for u, nbrs in enumerate(out_lists(o)) for v in nbrs):
-                want = (pid.get((x, y), -1), pid.get((y, x), -1)) if e in used else (-1, -1)
-                assert (fwd[e], bwd[e]) == want
+            assert list(zip(fwd.tolist(), bwd.tolist())) == brute_entry_pairs(g, o)
             assert fwd.dtype == bwd.dtype == np.int64
 
     def test_cached_per_ordering(self):
@@ -953,7 +987,8 @@ class TestEntryPairs:
         for g in (TemporalGraph.from_edges([]), TemporalGraph.from_edges([(1, 2, 1), (2, 3, 2), (3, 4, 3)])):
             o = degeneracy_order(build_static(g))
             fwd, bwd = g.entry_pairs(o)
-            assert fwd.tolist() == bwd.tolist() == [-1] * len(o.out_nbr)
+            assert len(fwd) == len(o.out_nbr)
+            assert list(zip(fwd.tolist(), bwd.tolist())) == brute_entry_pairs(g, o)
 
 
 class TestDegeneracy:
